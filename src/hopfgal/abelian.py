@@ -11,8 +11,8 @@ from math import gcd
 
 from .errors import NotSubsetError, ValidationError
 from .matrices import (
-    IntMatrix, divisibility_chain, hnf, rank, row_space_basis, snf,
-    snf_diagonal, solve_left,
+    HnfSolver, IntMatrix, divisibility_chain, hnf, rank, row_space_basis,
+    snf, snf_diagonal,
 )
 
 
@@ -235,9 +235,10 @@ def lattice_quotient_invariants(num, den):
     rowspan(den) must lie inside rowspan(num).
     """
     base = row_space_basis(num)
+    solver = HnfSolver(base)
     coeffs = []
     for drow in den.to_rows():
-        c = solve_left(base, drow)
+        c = solver.solve(drow)
         if c is None:
             raise NotSubsetError("denominator lattice not inside numerator")
         coeffs.append(c)
@@ -265,8 +266,3 @@ def torsion_closure_rows(n_gens, rel, primes):
         if stripped != d:
             rows.append([stripped * x for x in Vinv.row(i)])
     return IntMatrix(rows, cols=n_gens)
-
-
-def presented_invariants(n_gens, rel):
-    """Shorthand for the cokernel invariants of a relation matrix."""
-    return FgAbelianGroup.from_relation_matrix(n_gens, rel)

@@ -16,16 +16,16 @@ from .bar import BarConfig, bar_boundary, homology
 from .corpus import (abelian, corpus_up_to, cyclic, dihedral, klein4,
                      nilpotent_corpus, quaternion8)
 from .cubes import (cube_from_normal_subgroups, delta_i, delta_inverse,
-                    delta_square_commutes, interchange_holds, joint_kernel,
-                    kernel_of_morphism, rho_i)
+                    delta_square_commutes, interchange_holds, is_n_extension,
+                    joint_kernel, kernel_of_morphism, rho_i)
 from .errors import ValidationError
 from .galois import GaloisContext, induced_gal_map, is_normal_ext, \
     is_trivial_ext
 from .groups import (Subgroup, closure_P, identity_hom, inner_automorphism,
                      local_torsion_is_trivial,
                      surjections_up_to_precomposition)
-from .freenil import FreeNilGroup
-from .hopf import NilPresentation, hopf_h2, hopf_pi_n_localized
+from .freenil import free_nil_group
+from .hopf import NilPresentation, hopf_h2, hopf_pi_n
 from .matrices import IntMatrix, bareiss_det, hnf, snf
 
 
@@ -265,7 +265,10 @@ def check_cube_laws(count=200, seed=20260814):
         G = rng.choice(pool)
         n = rng.choice((2, 2, 3))
         picks = [rng.choice(normals[id(G)]) for _ in range(n)]
-        cube = cube_from_normal_subgroups(G, picks)
+        # the laws are stated for extensions, which some triples miss
+        cube = cube_from_normal_subgroups(G, picks, check_extension=False)
+        if not is_n_extension(cube):
+            continue
         tag = "%r normals %r" % (G, [N.members for N in picks])
         for i in range(n):
             report.record(delta_inverse(delta_i(cube, i), i) == cube,
@@ -301,8 +304,7 @@ def check_collection(count=1000, seed=20260814):
     """Associativity and unit/inverse laws of collected multiplication."""
     rng = random.Random(seed)
     report = CheckReport("collection", seed)
-    # share the ambient groups so collection tails stay memoized
-    ambients = [FreeNilGroup(d, c)
+    ambients = [free_nil_group(d, c)
                 for d in range(1, 4) for c in range(1, 6)]
     while report.cases < count:
         F = rng.choice(ambients)
@@ -379,29 +381,11 @@ def check_localization_identity(max_order=16, prime_sets=None, bar_cache=None):
             bar_cache[name] = homology(G, 2, cfg)
         oracle = bar_cache[name]
         for ps in prime_sets:
-            got = hopf_pi_n_localized(pres, list(ps), n=1).value
+            got = hopf_pi_n(pres, n=1, primes=list(ps)).value
             want = oracle.quotient_by_torsion(PrimeSet(ps))
             report.record(got == want,
                           "localized mismatch on %s at P=%r: %r vs %r"
                           % (name, list(ps), got, want))
-    return report
-
-
-def check_hopf_oracle_agreement(max_order=16, degree=2, bar_cache=None):
-    """Plain Hopf values against bar homology over the whole corpus."""
-    report = CheckReport("hopf-oracle")
-    cfg = BarConfig({1: 64, 2: 24, 3: 12})
-    if bar_cache is None:
-        bar_cache = {}
-    for name, pres, G in presented_nilpotent_corpus():
-        if G.order > max_order:
-            continue
-        if name not in bar_cache:
-            bar_cache[name] = homology(G, degree, cfg)
-        got = hopf_h2(pres).value
-        report.record(got == bar_cache[name],
-                      "engine disagreement on %s: %r vs %r"
-                      % (name, got, bar_cache[name]))
     return report
 
 

@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .abelian import PrimeSet, presented_invariants
+from .abelian import FgAbelianGroup, PrimeSet
 from .bar import BarConfig, homology
 from .checks import presentation_for, run_suite
 from .corpus import group_from_json, named_group
@@ -99,6 +99,22 @@ def _parse_primes(text):
                               "list, got %r" % text)
 
 
+def _read_text(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError("%s is not UTF-8 text: %s" % (path, exc))
+
+
+def _read_json(path):
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError("%s is not valid JSON: %s" % (path, exc))
+
+
 def _factors_json(value):
     return None if value is None else value.to_json()
 
@@ -114,13 +130,10 @@ def _load_homology_inputs(args, report):
         if args.method in ("hopf", "both"):
             pres = presentation_for(args.named)
     if args.presentation:
-        with open(args.presentation) as fh:
-            text = fh.read()
-        pres = parse_presentation(text)
+        pres = parse_presentation(_read_text(args.presentation))
         report.inputs["presentation"] = pres.input_digest()
     if args.group:
-        with open(args.group) as fh:
-            obj = json.load(fh)
+        obj = _read_json(args.group)
         group = group_from_json(obj)
         report.inputs["group"] = _digest(obj)
     if pres is None and group is None:
@@ -133,8 +146,8 @@ def _hopf_homology(pres, degree, primes):
     if degree == 1:
         rows = [[m.exps[i] for i in range(pres.rank)]
                 for m in pres.kernel_at(pres.nclass + 1).seq]
-        value = presented_invariants(pres.rank,
-                                     IntMatrix(rows, cols=pres.rank))
+        value = FgAbelianGroup.from_relation_matrix(
+            pres.rank, IntMatrix(rows, cols=pres.rank))
         if primes:
             value = value.quotient_by_torsion(PrimeSet(primes))
         return value, "NONE"
@@ -184,8 +197,7 @@ def cmd_homology(args, argv):
 # ---- galois ----------------------------------------------------------------
 
 def _hom_from_file(path):
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _read_json(path)
     for key in ("domain", "codomain", "mapping"):
         if key not in obj:
             raise ValidationError("hom file needs %r" % key)

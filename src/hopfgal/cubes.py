@@ -280,9 +280,11 @@ def cube_from_square(f1, f0, a, b, check_extension=True):
 def cube_from_normal_subgroups(G, normals, check_extension=True):
     """The n-cube S |-> G / (product of N_i over i not in S).
 
-    Every face is a natural projection between quotients of G, so the
-    result is always an n-fold extension; the flag is accepted only for
-    symmetry with the other builders.
+    Every face is a natural projection between quotients of G.  The
+    cube need not be an n-fold extension once n >= 3: three distinct
+    order-2 subgroups of V4 give one whose comparison maps are not all
+    surjective.  Such a cube raises ValidationError unless it is built
+    with check_extension=False.
     """
     n = len(normals)
     if n < 1:

@@ -107,7 +107,6 @@ class FreeNilGroup:
         self._tails = {}
         self._magnus_letters = None
         self._solvers = {}
-        self._truncated = None
 
     def basis_size(self):
         return len(self.letters)
@@ -299,9 +298,7 @@ class FreeNilGroup:
         """
         if self.nclass == 1:
             raise ValidationError("cannot truncate class 1")
-        if self._truncated is None:
-            self._truncated = FreeNilGroup(self.rank, self.nclass - 1)
-        return self._truncated
+        return free_nil_group(self.rank, self.nclass - 1)
 
     def truncate_word(self, u):
         low = self.truncated()
@@ -320,6 +317,21 @@ class FreeNilGroup:
 
     def __repr__(self):
         return "FreeNilGroup(rank=%d, class=%d)" % (self.rank, self.nclass)
+
+
+_GROUPS = {}
+
+
+def free_nil_group(rank, nclass):
+    """The shared FreeNilGroup of this rank and class.
+
+    The package builds every group here, so each collection tail is
+    derived once per process.
+    """
+    F = _GROUPS.get((rank, nclass))
+    if F is None:
+        F = _GROUPS[rank, nclass] = FreeNilGroup(rank, nclass)
+    return F
 
 
 class NilWord:

@@ -35,10 +35,6 @@ class GaloisContext:
         self.primes = primes
         self._reflections = {}
 
-    @property
-    def is_local(self):
-        return self.primes is not None
-
     def radical(self, G):
         """The normal subgroup killed by the reflection unit."""
         derived = G.derived_subgroup()

@@ -336,8 +336,8 @@ class Subgroup:
 class GroupHom:
     """A homomorphism as a total mapping of element indices.
 
-    >>> Z4 = cyclic_table_group(4)
-    >>> Z2 = cyclic_table_group(2)
+    >>> from hopfgal.corpus import cyclic
+    >>> Z4, Z2 = cyclic(4), cyclic(2)
     >>> f = GroupHom(Z4, Z2, [0, 1, 0, 1])
     >>> sorted(f.kernel().members)
     [0, 2]
@@ -350,10 +350,15 @@ class GroupHom:
     def __init__(self, domain, codomain, mapping, validate=True):
         self.domain = domain
         self.codomain = codomain
-        self.mapping = tuple(int(x) for x in mapping)
+        try:
+            self.mapping = tuple(int(x) for x in mapping)
+        except (TypeError, ValueError):
+            raise ValidationError("mapping entries must be integers")
         if len(self.mapping) != domain.order:
             raise ValidationError("mapping length mismatch")
         if validate:
+            if not all(0 <= x < codomain.order for x in self.mapping):
+                raise ValidationError("mapping leaves the codomain")
             if self.mapping[0] != 0:
                 raise ValidationError("identity must map to identity")
             dt, ct, m = domain.table, codomain.table, self.mapping
@@ -431,12 +436,6 @@ def identity_hom(G):
 def inner_automorphism(G, g):
     return GroupHom(G, G, [G.conjugate(x, g) for x in G.elements()],
                     validate=False)
-
-
-def cyclic_table_group(n):
-    # local duplicate of corpus.cyclic to keep doctests self-contained
-    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)],
-                       validate=False)
 
 
 class DirectProduct:
@@ -532,7 +531,8 @@ def closure_P(A, K, primes):
 
     Equivalently {a : a^m in K for some number m of the prime set}.
 
-    >>> Z12 = cyclic_table_group(12)
+    >>> from hopfgal.corpus import cyclic
+    >>> Z12 = cyclic(12)
     >>> K = Z12.generated_subgroup([6])
     >>> closure_P(Z12, K, PrimeSet([2])).members
     (0, 3, 6, 9)

@@ -24,7 +24,7 @@ import json
 
 from .abelian import PrimeSet, torsion_closure_rows
 from .errors import SizeLimitError, ValidationError
-from .freenil import FreeNilGroup, NilHom
+from .freenil import NilHom, free_nil_group
 from .matrices import IntMatrix
 from .pcseq import (abelian_quotient, commutator_subgroup, induced_sequence,
                     intersect, intersect_with_kernel, letter_span,
@@ -171,7 +171,7 @@ class <= 1
         """(free nilpotent group of class k, relators evaluated there)."""
         entry = self._ambients.get(k)
         if entry is None:
-            F = FreeNilGroup(self.rank, k)
+            F = free_nil_group(self.rank, k)
             gens = {n: F.generator(i) for i, n in enumerate(self.names)}
             entry = (F, [_eval_word(t, gens, F) for t in self._trees])
             self._ambients[k] = entry
@@ -231,7 +231,11 @@ def parse_presentation(text):
             # commutator relators contain commas; re-balance brackets
             rels = _rejoin_relators(rels)
         elif line.startswith("class:"):
-            nclass = int(line[6:].strip())
+            try:
+                nclass = int(line[6:].strip())
+            except ValueError:
+                raise ValidationError("class: wants an integer, got %r"
+                                      % line[6:].strip())
         else:
             raise ValidationError("unrecognized line %r" % line)
     if names is None or rels is None or nclass is None:
@@ -300,7 +304,7 @@ def build_presentation_cube(pres, n, k=None, rank_cap=DEFAULT_RANK_CAP):
         raise SizeLimitError(
             "pullback cover needs rank %d, above the cap %d"
             % (d + t, rank_cap))
-    Q = FreeNilGroup(d + t, k)
+    Q = free_nil_group(d + t, k)
     # the cover sends the first d generators to diagonal pairs (x, x)
     # and the remaining t to pairs (1, r); its first projection kills
     # exactly the letters whose leaves touch a relator generator
@@ -336,34 +340,20 @@ def _subgroup_info(S):
             "leading_weights": S.leading_weights()}
 
 
-def _cube_pieces(cube):
-    """Kernel intersection, numerator and plain denominator of a cube."""
-    Q = cube.ambient
-    K = cube.kernels[0]
-    for other in cube.kernels[1:]:
-        K = intersect(K, other)
-    N = intersect_with_kernel(K, IntMatrix.identity(Q.rank))
-    if cube.n == 1:
-        D = commutator_subgroup(Q, whole_group(Q), cube.kernels[0])
-    else:
-        inner = commutator_subgroup(Q, whole_group(Q), K)
-        cross = commutator_subgroup(Q, cube.kernels[0], cube.kernels[1])
-        D = induced_sequence(Q, list(inner.seq) + list(cross.seq))
-    return K, N, D
-
-
 def _shadow(S, low):
     """Image of a subgroup in a lower-class truncation of its parent.
 
     Basis letters of the lower truncation are a prefix of the higher
     one's, so words shadow down by coordinate prefix.
     """
+    if S.parent is low:
+        return S
     head = len(low.letters)
     return induced_sequence(low, [low.word(m.exps[:head]) for m in S.seq])
 
 
-def evaluate_cube(cube, primes=None):
-    """One Hopf quotient at the cube's own class.
+def evaluate_cube(cube, primes=None, k=None):
+    """One Hopf quotient of a cube, shadowed down to working class k.
 
     Returns (value, numerator info, denominator info).  The numerator is
     the derived subgroup met with all kernels; since the ambient
@@ -371,25 +361,21 @@ def evaluate_cube(cube, primes=None):
     the same numerator serves every prime set.  The denominator is the
     product of kernel-intersection commutators over all splittings of
     the directions, enlarged to its torsion closure when primes are
-    given.
+    given.  Both are formed at the cube's class and shadowed to class k
+    (default: the cube's class): the deeper intersection refutes
+    elements of the kernel intersection whose defect is invisible at
+    class k itself.
     """
-    K, N, D = _cube_pieces(cube)
-    if primes is not None and primes.primes:
-        D = _torsion_closure_in(K, D, primes)
-    value = abelian_quotient(N, D)
-    return value, _subgroup_info(N), _subgroup_info(D)
-
-
-def _value_at(pres, n, k, primes, rank_cap):
-    """Shadowed Hopf quotient at working class k.
-
-    The cube is built one class deeper and its pieces are shadowed down
-    to class k: the deeper intersection refutes elements of the kernel
-    intersection whose defect is invisible at class k itself.
-    """
-    cube = build_presentation_cube(pres, n, k + 1, rank_cap)
-    K, N, D = _cube_pieces(cube)
-    low = FreeNilGroup(cube.ambient.rank, k)
+    Q = cube.ambient
+    K = cube.kernels[0]
+    for other in cube.kernels[1:]:
+        K = intersect(K, other)
+    N = intersect_with_kernel(K, IntMatrix.identity(Q.rank))
+    D = commutator_subgroup(Q, whole_group(Q), K)
+    if cube.n == 2:
+        cross = commutator_subgroup(Q, cube.kernels[0], cube.kernels[1])
+        D = induced_sequence(Q, list(D.seq) + list(cross.seq))
+    low = free_nil_group(Q.rank, Q.nclass if k is None else k)
     N = _shadow(N, low)
     D = _shadow(D, low)
     if primes is not None and primes.primes:
@@ -429,16 +415,15 @@ class HopfResult:
     """Outcome of a Hopf evaluation, including how it was trusted."""
 
     __slots__ = ("value", "numerator", "denominator", "working_class",
-                 "stabilization", "oracle_checked", "provenance")
+                 "stabilization", "provenance")
 
     def __init__(self, value, numerator, denominator, working_class,
-                 stabilization, oracle_checked, provenance):
+                 stabilization, provenance):
         self.value = value
         self.numerator = numerator
         self.denominator = denominator
         self.working_class = working_class
         self.stabilization = stabilization
-        self.oracle_checked = oracle_checked
         self.provenance = provenance
 
     @property
@@ -452,7 +437,6 @@ class HopfResult:
             "denominator": self.denominator,
             "working_class": self.working_class,
             "stabilization": self.stabilization,
-            "oracle_checked": self.oracle_checked,
             "provenance": self.provenance,
         }
 
@@ -484,9 +468,9 @@ def hopf_h2(pres, primes=None):
     """
     primes = _normalize_primes(primes)
     k = pres.nclass + 1
-    cube = build_presentation_cube(pres, 1, k)
-    value, num, den = evaluate_cube(cube, primes)
-    return HopfResult(value, num, den, k, "NONE", None,
+    value, num, den = evaluate_cube(build_presentation_cube(pres, 1, k),
+                                    primes)
+    return HopfResult(value, num, den, k, "NONE",
                       _provenance(pres, 1, primes, [k]))
 
 
@@ -512,7 +496,8 @@ def hopf_pi_n(pres, n=2, primes=None, max_class=DEFAULT_MAX_CLASS,
 
     def run(k):
         if k not in runs:
-            runs[k] = _value_at(pres, n, k, primes, rank_cap)
+            runs[k] = evaluate_cube(
+                build_presentation_cube(pres, n, k + 1, rank_cap), primes, k)
         return runs[k]
 
     for k in range(k0, max_class - 1):
@@ -524,14 +509,8 @@ def hopf_pi_n(pres, n=2, primes=None, max_class=DEFAULT_MAX_CLASS,
                 raise
             break
         if value == nxt:
-            return HopfResult(value, num, den, k, "STABLE", None,
+            return HopfResult(value, num, den, k, "STABLE",
                               _provenance(pres, n, primes, [k, k + 1]))
-    return HopfResult(None, None, None, max_class, "UNSTABLE", None,
+    return HopfResult(None, None, None, max_class, "UNSTABLE",
                       _provenance(pres, n, primes, sorted(runs)))
 
-
-def hopf_pi_n_localized(pres, primes, n=2, max_class=DEFAULT_MAX_CLASS,
-                        rank_cap=DEFAULT_RANK_CAP):
-    """Localized variant; an empty prime set recovers the plain value."""
-    return hopf_pi_n(pres, n=n, primes=primes, max_class=max_class,
-                     rank_cap=rank_cap)

@@ -68,13 +68,6 @@ class IntMatrix:
     def to_rows(self):
         return [list(r) for r in self._data]
 
-    def nonzero_count(self):
-        return sum(1 for row in self._data for x in row if x)
-
-    def transpose(self):
-        return IntMatrix([[self._data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)], cols=self.rows)
-
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -227,22 +220,10 @@ class HnfSolver:
         return coeff
 
 
-def solve_left(mat, target):
-    """Solve x * mat = target over the integers; None if unsolvable.
-
-    `target` is a single row (length mat.cols).
-    """
-    return HnfSolver(mat).solve(target)
-
-
 def row_space_basis(mat):
     """Nonzero rows of the Hermite form: a canonical basis of the row span."""
     H, _ = hnf(mat)
     return IntMatrix([r for r in H.to_rows() if any(r)], cols=mat.cols)
-
-
-def lattice_sum(a, b):
-    return row_space_basis(a.stack(b))
 
 
 def lattice_intersection(a, b):
@@ -254,10 +235,6 @@ def lattice_intersection(a, b):
     rows = [IntMatrix([k[:a.rows]], cols=a.rows).mul(a).row(0)
             for k in kern.to_rows()]
     return row_space_basis(IntMatrix(rows, cols=a.cols))
-
-
-def in_row_span(mat, target):
-    return solve_left(mat, target) is not None
 
 
 def _swap_rows(A, U, i, j):

@@ -22,8 +22,7 @@ from hopfgal.checks import (check_baer_invariance, check_bar_differential,
                             presented_nilpotent_corpus)
 from hopfgal.corpus import abelian, quaternion8
 from hopfgal.galois import GaloisContext, is_normal_ext, is_trivial_ext
-from hopfgal.hopf import (NilPresentation, hopf_h2, hopf_pi_n,
-                          hopf_pi_n_localized)
+from hopfgal.hopf import NilPresentation, hopf_h2, hopf_pi_n
 
 SEED = 20260814
 BAR_CFG = BarConfig({1: 64, 2: 24, 3: 12})
@@ -103,7 +102,7 @@ def test_criterion_04_localization_identity(corpus, bar_h2):
     for name, pres, _ in corpus:
         plain = hopf_h2(pres).value
         for ps in ((), (2,), (3,), (2, 3)):
-            got = hopf_pi_n_localized(pres, list(ps), n=1).value
+            got = hopf_pi_n(pres, n=1, primes=list(ps)).value
             want = bar_h2[name].quotient_by_torsion(PrimeSet(ps))
             assert _invariants(got) == _invariants(want), (name, ps)
             if not ps:

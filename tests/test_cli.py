@@ -194,6 +194,40 @@ class TestGaloisCommand:
         assert "hom file" in err
 
 
+def _hom_text(mapping):
+    return json.dumps({"domain": {"name": "Z2"}, "codomain": {"name": "Z2"},
+                       "mapping": mapping})
+
+
+MALFORMED = [
+    pytest.param("homology", "--presentation",
+                 b"gens: x\nrels: x^2\nclass: abc\n", id="class-not-integer"),
+    pytest.param("homology", "--group", b'{"name": "Z',
+                 id="truncated-group-json"),
+    pytest.param("galois", "--hom", b'{"domain": {"name"',
+                 id="truncated-hom-json"),
+    pytest.param("homology", "--presentation",
+                 b"gens: x\xff\nrels: x^2\nclass: 1\n",
+                 id="presentation-not-utf8"),
+    pytest.param("galois", "--hom", _hom_text([0, 5]).encode(),
+                 id="mapping-leaves-codomain"),
+    pytest.param("galois", "--hom", _hom_text("ab").encode(),
+                 id="mapping-not-integers"),
+]
+
+
+@pytest.mark.parametrize("command,flag,content", MALFORMED)
+def test_malformed_input_exits_two(capsys, tmp_path, command, flag, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    argv = ([command, "--method", "both"] if command == "homology"
+            else [command, "is-normal"])
+    code, out, err = run(capsys, argv + [flag, str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestVerifyCommand:
     def test_none_suite_runs_nothing(self, capsys):
         code, blob, _ = run_json(capsys, ["verify", "--suite", "none"])

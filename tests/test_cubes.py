@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hopfgal import cubes as cb
+from hopfgal.checks import check_cube_laws
 from hopfgal.corpus import cyclic, dihedral, klein4, quaternion8, symmetric
 from hopfgal.errors import SizeLimitError, ValidationError
 from hopfgal.groups import GroupHom, identity_hom
@@ -40,6 +41,21 @@ class TestConstruction:
         assert cb.is_n_extension(square)
         cube = cb.cube_from_normal_subgroups(D4, [Z, Z, R])
         assert cb.is_n_extension(cube)
+
+    def test_three_order_two_subgroups_of_klein_four(self):
+        V4 = klein4()
+        picks = [V4.generated_subgroup([g]) for g in (1, 2, 3)]
+        with pytest.raises(ValidationError):
+            cb.cube_from_normal_subgroups(V4, picks)
+        cube = cb.cube_from_normal_subgroups(V4, picks,
+                                             check_extension=False)
+        assert not cb.is_n_extension(cube)
+
+    @pytest.mark.parametrize("seed", [1282413051, 1268243019])
+    def test_cube_suite_skips_non_extensions(self, seed):
+        # these seeds draw a non-extension triple of normal subgroups
+        report = check_cube_laws(seed=seed)
+        assert report.ok and report.cases >= 200
 
     def test_one_cube_requires_surjection(self):
         Z4, Z2 = cyclic(4), cyclic(2)

@@ -7,10 +7,10 @@ from hopfgal.abelian import FgAbelianGroup
 from hopfgal.bar import BarConfig, homology
 from hopfgal.corpus import abelian, cyclic, klein4
 from hopfgal.errors import SizeLimitError, ValidationError
-from hopfgal.freenil import NilHom
+from hopfgal.freenil import FreeNilGroup, NilHom, free_nil_group
 from hopfgal.hopf import (
     HopfResult, NilPresentation, build_presentation_cube, evaluate_cube,
-    hopf_h2, hopf_pi_n, hopf_pi_n_localized, parse_presentation,
+    hopf_h2, hopf_pi_n, parse_presentation,
 )
 
 
@@ -165,6 +165,27 @@ class TestCubes:
         assert den["generators"] >= 1
 
 
+class TestSharedGroups:
+    def test_one_group_per_rank_and_class(self):
+        p = pres_v4()
+        assert p.ambient(3)[0] is free_nil_group(2, 3)
+        # the pullback cover has one generator per generator and relator
+        cube = build_presentation_cube(p, 2, 3)
+        assert cube.ambient is free_nil_group(5, 3)
+        assert free_nil_group(2, 4).truncated() is free_nil_group(2, 3)
+        assert FreeNilGroup(2, 4).truncated() is free_nil_group(2, 3)
+        assert FreeNilGroup(2, 3) is not free_nil_group(2, 3)
+
+    def test_shadowed_cube_values_match_stabilization(self):
+        p = pres_cyclic(4)
+        r = hopf_pi_n(p, n=2)
+        assert r.provenance["classes"] == [2, 3]
+        at2, at3 = (evaluate_cube(build_presentation_cube(p, 2, k + 1), k=k)
+                    for k in (2, 3))
+        assert at2 == (r.value, r.numerator, r.denominator)
+        assert at3[0] == r.value
+
+
 class TestSecondHomology:
     def test_cyclic_groups_have_trivial_multiplier(self):
         for n in range(2, 17):
@@ -210,23 +231,23 @@ class TestSecondHomology:
 class TestLocalizedSecondHomology:
     def test_klein_four_at_each_prime(self):
         p = pres_v4()
-        assert hopf_pi_n_localized(p, [2], n=1).value.factors == ()
-        assert hopf_pi_n_localized(p, [3], n=1).value.factors == (2,)
-        assert hopf_pi_n_localized(p, [2, 3], n=1).value.factors == ()
-        assert hopf_pi_n_localized(p, [], n=1).value.factors == (2,)
+        assert hopf_pi_n(p, n=1, primes=[2]).value.factors == ()
+        assert hopf_pi_n(p, n=1, primes=[3]).value.factors == (2,)
+        assert hopf_pi_n(p, n=1, primes=[2, 3]).value.factors == ()
+        assert hopf_pi_n(p, n=1, primes=[]).value.factors == (2,)
 
     def test_mixed_torsion_splits_by_prime(self):
         p = NilPresentation(["x", "y"], ["x^6", "y^6", "[x,y]"], 1)
         assert hopf_h2(p).value.factors == (6,)
-        assert hopf_pi_n_localized(p, [2], n=1).value.factors == (3,)
-        assert hopf_pi_n_localized(p, [3], n=1).value.factors == (2,)
-        assert hopf_pi_n_localized(p, [5], n=1).value.factors == (6,)
-        assert hopf_pi_n_localized(p, [2, 3], n=1).value.factors == ()
+        assert hopf_pi_n(p, n=1, primes=[2]).value.factors == (3,)
+        assert hopf_pi_n(p, n=1, primes=[3]).value.factors == (2,)
+        assert hopf_pi_n(p, n=1, primes=[5]).value.factors == (6,)
+        assert hopf_pi_n(p, n=1, primes=[2, 3]).value.factors == ()
 
     def test_prime_set_inputs_are_normalized(self):
         p = pres_v4()
-        a = hopf_pi_n_localized(p, [2, 2, 2], n=1)
-        b = hopf_pi_n_localized(p, [2], n=1)
+        a = hopf_pi_n(p, n=1, primes=[2, 2, 2])
+        b = hopf_pi_n(p, n=1, primes=[2])
         assert a.value == b.value
         assert a.provenance == b.provenance
 
@@ -260,7 +281,7 @@ class TestHigherDegree:
             hopf_pi_n(pres_v4(), n=2, rank_cap=4)
 
     def test_unstable_results_carry_no_value(self):
-        r = HopfResult(None, None, None, 4, "UNSTABLE", None, {})
+        r = HopfResult(None, None, None, 4, "UNSTABLE", {})
         assert not r.is_conclusive
         assert r.to_json()["value"] is None
         stable = hopf_pi_n(pres_cyclic(2), n=2)

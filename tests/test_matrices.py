@@ -3,9 +3,8 @@ import random
 import pytest
 
 from hopfgal.matrices import (
-    IntMatrix, hnf, snf, snf_diagonal, rank, left_kernel, solve_left,
-    row_space_basis, lattice_sum, lattice_intersection, in_row_span,
-    divisibility_chain, bareiss_det,
+    HnfSolver, IntMatrix, hnf, snf, snf_diagonal, rank, left_kernel,
+    row_space_basis, lattice_intersection, divisibility_chain, bareiss_det,
 )
 
 
@@ -134,7 +133,7 @@ def test_rank_and_left_kernel():
             assert IntMatrix([krow], cols=m).mul(M) == zero
 
 
-def test_solve_left():
+def test_hnf_solver_solves_left_systems():
     rng = random.Random(16)
     solved = 0
     for _ in range(300):
@@ -147,7 +146,7 @@ def test_solve_left():
             target = IntMatrix([x], cols=m).mul(M).row(0)
         else:
             target = [rng.randrange(-20, 21) for _ in range(n)]
-        sol = solve_left(M, target)
+        sol = HnfSolver(M).solve(target)
         if sol is not None:
             assert IntMatrix([sol], cols=m).mul(M).row(0) == list(target)
             solved += 1
@@ -185,16 +184,19 @@ def test_lattice_algebra():
                        for _ in range(rng.randrange(1, 4))])
         B = IntMatrix([[rng.randrange(-4, 5) for _ in range(n)]
                        for _ in range(rng.randrange(1, 4))])
-        S = lattice_sum(A, B)
+        in_a, in_b = HnfSolver(A), HnfSolver(B)
+        in_sum = HnfSolver(row_space_basis(A.stack(B)))
         for row in A.to_rows() + B.to_rows():
-            assert in_row_span(S, row)
+            assert in_sum.solve(row) is not None
         I = lattice_intersection(A, B)
+        in_i = HnfSolver(I)
         for row in I.to_rows():
-            assert in_row_span(A, row) and in_row_span(B, row)
+            assert in_a.solve(row) is not None
+            assert in_b.solve(row) is not None
         # intersection contains the product-scaled rows of A that land in B
         for row in A.to_rows():
-            if in_row_span(B, row):
-                assert in_row_span(I, row)
+            if in_b.solve(row) is not None:
+                assert in_i.solve(row) is not None
 
 
 def test_bareiss_det_small_cases():
