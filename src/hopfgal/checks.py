@@ -301,12 +301,17 @@ def _random_word(rng, F):
 
 
 def check_collection(count=1000, seed=20260814):
-    """Associativity and unit/inverse laws of collected multiplication."""
+    """Group laws of collected multiplication, and agreement with the
+    Magnus algebra model.
+
+    Draws ceil(count / 3) triples of random words; each gives three
+    group-law cases and one comparison with multiply_via_model.
+    """
     rng = random.Random(seed)
     report = CheckReport("collection", seed)
     ambients = [free_nil_group(d, c)
                 for d in range(1, 4) for c in range(1, 6)]
-    while report.cases < count:
+    for _ in range(-(-count // 3)):
         F = rng.choice(ambients)
         u, v, w = (_random_word(rng, F) for _ in range(3))
         tag = "rank %d class %d %r %r %r" % (F.rank, F.nclass, u, v, w)
@@ -316,6 +321,8 @@ def check_collection(count=1000, seed=20260814):
                       "inverse failed: " + tag)
         report.record(u.pow(3) == u.mul(u).mul(u),
                       "power failed: " + tag)
+        report.record(u.mul(v) == F.multiply_via_model(u, v),
+                      "collection disagrees with the algebra model: " + tag)
     return report
 
 

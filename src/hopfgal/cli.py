@@ -198,6 +198,8 @@ def cmd_homology(args, argv):
 
 def _hom_from_file(path):
     obj = _read_json(path)
+    if not isinstance(obj, dict):
+        raise ValidationError("hom file must hold a JSON object")
     for key in ("domain", "codomain", "mapping"):
         if key not in obj:
             raise ValidationError("hom file needs %r" % key)

@@ -177,16 +177,40 @@ def corpus_up_to(max_order):
     return [(name, G) for name, G in full_corpus() if G.order <= max_order]
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _integer_rows(obj, key):
+    rows = obj[key]
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(_is_int(x) for x in row)
+            for row in rows)):
+        raise ValidationError("%r must be a list of integer lists" % key)
+    return rows
+
+
 def group_from_json(obj):
-    """Accepts a name, a multiplication table, or permutation generators."""
+    """Accepts a name, a multiplication table, or permutation generators.
+
+    Anything else, including JSON that is not an object, is a
+    ValidationError.
+    """
+    if not isinstance(obj, dict):
+        raise ValidationError("a group description must be a JSON object")
     if "name" in obj:
+        if not isinstance(obj["name"], str):
+            raise ValidationError("'name' must be a string")
         return named_group(obj["name"])
     if "table" in obj:
-        G = FiniteGroup.from_json(obj)
+        G = FiniteGroup(_integer_rows(obj, "table"))
         if "order" in obj and obj["order"] != G.order:
             raise ValidationError("order field says %r but the table has "
                                   "%d elements" % (obj["order"], G.order))
         return G
     if "generators" in obj:
-        return from_permutations(obj["degree"], obj["generators"])
+        if not _is_int(obj.get("degree")):
+            raise ValidationError("'generators' needs an integer 'degree'")
+        return from_permutations(obj["degree"],
+                                 _integer_rows(obj, "generators"))
     raise ValidationError("unrecognized group description")

@@ -2,9 +2,12 @@
 
 Elements are Mal'cev normal forms: exponent vectors over a Hall basis of
 basic commutators, denoting the product b_1^e_1 ... b_m^e_m in basis
-order.  Multiplication is collection from the left; the commutator tails
-it needs are computed once per letter pair inside a truncated free
-associative algebra (the Magnus embedding) and memoized.
+order.  Multiplication is collection from the left.  The commutator tails
+it needs are Hall polynomials: for each letter pair the coordinates of
+[b_t^f, b_l^e] are integer-valued polynomials in (f, e), derived once per
+pair from a few small-exponent tails computed inside a truncated free
+associative algebra (the Magnus embedding), then evaluated at any
+exponents.  No cost grows with the size of an exponent.
 
 The algebra model doubles as an independent multiplication oracle: the
 embedding g -> 1 + (higher terms) is faithful on the class-c truncation,
@@ -12,6 +15,10 @@ so disagreement between collection and the model is a hard bug.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from itertools import compress
+from math import comb
 
 from .errors import InternalCheckError, SizeLimitError, ValidationError
 from .matrices import HnfSolver, IntMatrix
@@ -103,8 +110,12 @@ class FreeNilGroup:
                 letters.append(HallLetter(len(letters), w, u, v))
         self.letters = letters
         self.weights = tuple(l.weight for l in letters)
+        # letters from _stop[l] on commute with b_l and with every heavier
+        # letter: they are those of weight > nclass - weight(b_l)
+        self._stop = tuple(bisect_right(self.weights, nclass - w)
+                           for w in self.weights)
         self._identity = NilWord(self, (0,) * len(letters))
-        self._tails = {}
+        self._polys = {}
         self._magnus_letters = None
         self._solvers = {}
 
@@ -148,56 +159,114 @@ class FreeNilGroup:
         """
         if u.parent is not self or v.parent is not self:
             raise ValidationError("words from a different group")
-        return NilWord(self, self._collect(u.syllables() + v.syllables()))
+        out = list(u.exps)
+        head = u.syllables()
+        self._collect(out, head[-1][0] if head else -1,
+                      list(reversed(v.syllables())))
+        return NilWord(self, tuple(out))
 
     def inverse(self, u):
-        sylls = [(l, -e) for l, e in reversed(u.syllables())]
-        return NilWord(self, self._collect(sylls))
-
-    def _collect(self, syllables):
-        weights = self.weights
-        nclass = self.nclass
-        body = [list(s) for s in syllables if s[1]]
         out = [0] * len(self.letters)
-        while body:
-            # stages go in increasing letter order; tails only ever insert
-            # strictly heavier letters, so the current minimum is final once
-            # its occurrences are consumed
-            cur = min(s[0] for s in body)
-            while True:
-                pos = next((i for i, s in enumerate(body) if s[0] == cur),
-                           None)
-                if pos is None:
-                    break
-                # bubble to the front; everything before the first
-                # occurrence carries a strictly later letter
-                while pos > 0:
-                    t, f = body[pos - 1]
-                    e = body[pos][1]
-                    body[pos - 1], body[pos] = body[pos], body[pos - 1]
-                    if weights[t] + weights[cur] <= nclass:
-                        tail = self.tail(t, cur, f, e)
-                        if tail:
-                            body[pos + 1:pos + 1] = [list(s) for s in tail]
-                    pos -= 1
-                out[cur] += body[0][1]
-                del body[0]
-        return tuple(out)
+        self._collect(out, -1, [(l, -e) for l, e in u.syllables()])
+        return NilWord(self, tuple(out))
+
+    def _collect(self, out, top, stack):
+        """Multiply the normal form `out` by the syllables on `stack`.
+
+        `out` is updated in place and has no nonzero coordinate above
+        `top`; `stack` is consumed from its end.  Multiplying by b_l^e
+        moves each nonzero b_m^a with l < m < _stop[l] back onto the stack
+        as b_m^a [b_m^a, b_l^e], since b_m^a b_l^e = b_l^e b_m^a
+        [b_m^a, b_l^e].  The letters from _stop[l] on commute with b_l and
+        with every letter between l and them, so they keep their place.
+        """
+        tail = self.tail
+        stop = self._stop
+        pop, push, extend = stack.pop, stack.append, stack.extend
+        while stack:
+            l, e = pop()
+            for m in range(min(stop[l], top + 1) - 1, l, -1):
+                a = out[m]
+                if a:
+                    out[m] = 0
+                    extend(reversed(tail(m, l, a, e)))
+                    push((m, a))
+            out[l] += e
+            # nothing is left between l and stop[l]
+            if top < stop[l] or top < l:
+                top = l
 
     def tail(self, t, l, f, e):
-        """Syllables of [b_t^f, b_l^e], the collection correction term."""
-        key = (t, l, f, e)
-        val = self._tails.get(key)
-        if val is None:
-            if t == l or self.weights[t] + self.weights[l] > self.nclass:
-                val = ()
-            else:
-                af = _alg_power(self._magnus_letter(t), f, self.nclass)
-                be = _alg_power(self._magnus_letter(l), e, self.nclass)
-                val = tuple(self.extract(
-                    _alg_comm(af, be, self.nclass)).syllables())
-            self._tails[key] = val
-        return val
+        """Syllables of [b_t^f, b_l^e], the collection correction term.
+
+        Each coordinate is an integer-valued polynomial in (f, e).  Write
+        w_k for the weight of letter k.  The Magnus image of b^f is
+        sum_k C(f, k) X^k, where X = M(b) - 1 has only terms of length
+        >= weight(b); so giving f the weight w_t and e the weight w_l,
+        every coefficient of a length-n monomial of M(b_t^f) and M(b_l^e)
+        is a polynomial of weighted degree <= n.  Products and inverses
+        add degrees as they add lengths, and extract solves each layer
+        linearly and strips powers b_k^c whose Magnus images obey the same
+        bound, so the coordinate of a weight-w letter in [b_t^f, b_l^e]
+        has weighted degree <= w.  It vanishes at f = 0 and at e = 0.  In
+        the basis C(f, i) C(e, j) it is therefore supported on i, j >= 1
+        with i w_t + j w_l <= w, and its coefficients are the 2-D forward
+        differences at the origin of its values on that grid, computed
+        once per pair by _tail_poly.
+        """
+        poly = self._polys.get((t, l))
+        if poly is None:
+            poly = self._polys[t, l] = self._tail_poly(t, l)
+        if not poly or not f or not e:
+            return ()
+        df, de, rows = poly
+        bf, be = _binomials(f, df), _binomials(e, de)
+        out = []
+        for k, terms in rows:
+            v = 0
+            for i, j, a in terms:
+                v += a * bf[i] * be[j]
+            if v:
+                out.append((k, v))
+        return tuple(out)
+
+    def _tail_poly(self, t, l):
+        """(max i, max j, rows) of the Hall polynomials of the pair (t, l).
+
+        rows lists (letter k, ((i, j, a_ij), ...)) in letter order, where
+        coordinate k of [b_t^f, b_l^e] is sum a_ij C(f, i) C(e, j).  Empty
+        if the letters commute.
+        """
+        nclass = self.nclass
+        wt, wl = self.weights[t], self.weights[l]
+        if t == l or wt + wl > nclass:
+            return ()
+        df, de = (nclass - wl) // wt, (nclass - wt) // wl
+        grid = [(i, j) for i in range(1, df + 1) for j in range(1, de + 1)
+                if i * wt + j * wl <= nclass]
+        mt, ml = self._magnus_letter(t), self._magnus_letter(l)
+        pt = [None] + [_alg_power(mt, i, nclass) for i in range(1, df + 1)]
+        pl = [None] + [_alg_power(ml, j, nclass) for j in range(1, de + 1)]
+        values = {(i, j): self.extract(_alg_comm(pt[i], pl[j],
+                                                 nclass)).syllables()
+                  for i, j in grid}
+        rows = {}
+        for i, j in grid:
+            coeffs = {}
+            for i2 in range(1, i + 1):
+                for j2 in range(1, j + 1):
+                    s = (-1) ** (i - i2 + j - j2) * comb(i, i2) * comb(j, j2)
+                    for k, x in values[i2, j2]:
+                        coeffs[k] = coeffs.get(k, 0) + s * x
+            for k, a in coeffs.items():
+                if not a:
+                    continue
+                if i * wt + j * wl > self.weights[k]:
+                    raise InternalCheckError(
+                        "tail of (%d, %d) exceeds its degree bound" % (t, l))
+                rows.setdefault(k, []).append((i, j, a))
+        return df, de, tuple((k, tuple(terms))
+                             for k, terms in sorted(rows.items()))
 
     # ---- Magnus model ---------------------------------------------------
 
@@ -275,7 +344,7 @@ class FreeNilGroup:
                     strip = _alg_mul(strip,
                                      _alg_power(self._magnus_letter(i), c,
                                                 self.nclass), self.nclass)
-            residue = _alg_mul(_alg_inverse(strip, self.nclass),
+            residue = _alg_mul(_alg_power(strip, -1, self.nclass),
                                residue, self.nclass)
         if any(c for m, c in residue.items() if m):
             raise InternalCheckError("nonidentity residue after extraction")
@@ -337,24 +406,30 @@ def free_nil_group(rank, nclass):
 class NilWord:
     """An element in Mal'cev normal form."""
 
-    __slots__ = ("parent", "exps")
+    __slots__ = ("parent", "exps", "_syllables")
 
     def __init__(self, parent, exps):
         self.parent = parent
         self.exps = exps
+        self._syllables = None
 
     def syllables(self):
-        return [(i, e) for i, e in enumerate(self.exps) if e]
+        """The nonzero (letter index, exponent) pairs in letter order."""
+        sylls = self._syllables
+        if sylls is None:
+            sylls = self._syllables = tuple(
+                compress(enumerate(self.exps), self.exps))
+        return sylls
 
     def is_identity(self):
         return not any(self.exps)
 
     def leading(self):
         """(letter index, exponent) of the first nonzero coordinate."""
-        for i, e in enumerate(self.exps):
-            if e:
-                return i, e
-        return None
+        sylls = self._syllables
+        if sylls is None:
+            sylls = self.syllables()
+        return sylls[0] if sylls else None
 
     def weight_one(self):
         """The generator-exponent vector (the abelianization image)."""
@@ -442,55 +517,50 @@ class NilHom:
 # dropped.  Group elements embed as units 1 + (degree >= 1 terms).
 
 def _alg_mul(a, b, nclass):
+    by_length = [[] for _ in range(nclass + 1)]
+    for m, c in b.items():
+        by_length[len(m)].append((m, c))
     out = {}
+    get = out.get
     for m1, c1 in a.items():
-        room = nclass - len(m1)
-        for m2, c2 in b.items():
-            if len(m2) > room:
-                continue
-            key = m1 + m2
-            s = out.get(key, 0) + c1 * c2
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+        for group in by_length[:nclass + 1 - len(m1)]:
+            for m2, c2 in group:
+                key = m1 + m2
+                out[key] = get(key, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
-def _alg_inverse(a, nclass):
-    if a.get((), 0) != 1:
-        raise InternalCheckError("inverting a non-unit algebra element")
-    neg = {m: -c for m, c in a.items() if m}
-    out = {(): 1}
-    term = {(): 1}
-    for _ in range(nclass):
-        term = _alg_mul(term, neg, nclass)
-        if not term:
-            break
-        for m, c in term.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
+def _binomials(n, k):
+    """[C(n, 0), ..., C(n, k)], for any integer n."""
+    out = [1]
+    for i in range(1, k + 1):
+        out.append(out[-1] * (n - i + 1) // i)
     return out
 
 
 def _alg_power(a, n, nclass):
-    if n < 0:
-        a = _alg_inverse(a, nclass)
-        n = -n
+    """a^n = sum over k <= nclass of C(n, k) (a - 1)^k, for a unit a.
+
+    a - 1 has no constant term, so its powers above nclass vanish; the sum
+    is exact for every integer n, negative ones included.
+    """
+    if a.get((), 0) != 1:
+        raise InternalCheckError("powering a non-unit algebra element")
+    x = {m: c for m, c in a.items() if m}
     out = {(): 1}
-    while n:
-        if n & 1:
-            out = _alg_mul(out, a, nclass)
-        n >>= 1
-        if n:
-            a = _alg_mul(a, a, nclass)
-    return out
+    term = {(): 1}
+    for binom in _binomials(n, nclass)[1:]:
+        if not binom:
+            break
+        term = _alg_mul(term, x, nclass)
+        if not term:
+            break
+        for m, c in term.items():
+            out[m] = out.get(m, 0) + binom * c
+    return {m: c for m, c in out.items() if c}
 
 
 def _alg_comm(a, b, nclass):
-    return _alg_mul(_alg_mul(_alg_inverse(a, nclass),
-                             _alg_inverse(b, nclass), nclass),
+    return _alg_mul(_alg_mul(_alg_power(a, -1, nclass),
+                             _alg_power(b, -1, nclass), nclass),
                     _alg_mul(a, b, nclass), nclass)

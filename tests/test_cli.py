@@ -213,6 +213,16 @@ MALFORMED = [
                  id="mapping-leaves-codomain"),
     pytest.param("galois", "--hom", _hom_text("ab").encode(),
                  id="mapping-not-integers"),
+    pytest.param("homology", "--group", b'{"table": [["a"]]}',
+                 id="table-entry-not-integer"),
+    pytest.param("homology", "--group", b"5", id="group-not-an-object"),
+    pytest.param("homology", "--group", b'{"table": 5}',
+                 id="table-not-a-list"),
+    pytest.param("homology", "--group", b'{"name": 3}',
+                 id="name-not-a-string"),
+    pytest.param("homology", "--group", b'{"generators": [[1, 0]]}',
+                 id="generators-without-degree"),
+    pytest.param("galois", "--hom", b"[]", id="hom-not-an-object"),
 ]
 
 

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from hopfgal.checks import check_collection
 from hopfgal.errors import (InternalCheckError, NotAbelianError,
                             NotNormalError, NotSubsetError, SizeLimitError,
                             ValidationError)
-from hopfgal.freenil import FreeNilGroup, NilHom, witt_number
+from hopfgal.freenil import (FreeNilGroup, NilHom, _alg_comm, _alg_mul,
+                             _alg_power, free_nil_group, witt_number)
 from hopfgal.matrices import IntMatrix
 from hopfgal import pcseq as pc
 
@@ -97,6 +99,71 @@ class TestCollection:
         F, G = FreeNilGroup(2, 2), FreeNilGroup(2, 3)
         with pytest.raises(ValidationError):
             F.multiply(F.generator(0), G.generator(0))
+
+    def test_collection_matches_algebra_model_on_pullback_cover_shape(self):
+        # rank 5, class 4 is the pullback cover of the degree-3 V4 cube
+        rng = random.Random(413)
+        F = free_nil_group(5, 4)
+        for _ in range(12):
+            u = random_word(F, rng, spread=9, density=0.2)
+            v = random_word(F, rng, spread=9, density=0.2)
+            assert F.multiply(u, v) == F.multiply_via_model(u, v)
+
+    def test_syllables_are_an_immutable_cache(self):
+        F = FreeNilGroup(2, 3)
+        u = F.word((0, 3, 0, -1, 0))
+        assert u.syllables() == ((1, 3), (3, -1))
+        assert u.syllables() is u.syllables()
+        assert u.leading() == (1, 3)
+        assert F.identity().syllables() == ()
+        assert F.identity().leading() is None
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_collection_suite_at_other_seeds(self, seed):
+        report = check_collection(300, seed)
+        assert report.ok, report.failures[:3]
+        assert report.cases == 400
+
+
+class TestHallPolynomials:
+    @pytest.mark.parametrize("rank,nclass", [(3, 5), (2, 6), (5, 4)])
+    def test_tail_matches_direct_magnus_tail_off_the_grid(self, rank, nclass):
+        rng = random.Random(414 + rank)
+        F = free_nil_group(rank, nclass)
+        w = F.weights
+        pairs = [(t, l) for t in range(F.basis_size()) for l in range(t)
+                 if w[t] + w[l] <= nclass]
+        exponents = (-50, -7, 13, 49)
+        for t, l in [(1, 0)] + rng.sample(pairs, 5):
+            for f in exponents:
+                for e in exponents:
+                    direct = F.extract(_alg_comm(
+                        _alg_power(F._magnus_letter(t), f, nclass),
+                        _alg_power(F._magnus_letter(l), e, nclass),
+                        nclass))
+                    assert F.tail(t, l, f, e) == direct.syllables()
+
+    def test_tail_of_commuting_letters_is_empty(self):
+        F = FreeNilGroup(2, 3)
+        assert F.tail(3, 2, 5, 7) == ()   # weights 2 + 2 > 3
+        assert F.tail(1, 1, 5, 7) == ()
+        assert F.tail(1, 0, 0, 7) == ()
+
+    def test_binomial_power_matches_repeated_products(self):
+        rng = random.Random(415)
+        F = FreeNilGroup(2, 4)
+        a = F.magnus_image(random_word(F, rng))
+        one = {(): 1}
+        acc = one
+        for n in range(7):
+            assert _alg_power(a, n, 4) == acc
+            assert _alg_mul(_alg_power(a, -n, 4), acc, 4) == one
+            assert _alg_mul(acc, _alg_power(a, -n, 4), 4) == one
+            acc = _alg_mul(acc, a, 4)
+
+    def test_power_of_non_unit_rejected(self):
+        with pytest.raises(InternalCheckError):
+            _alg_power({(): 2, (0,): 1}, 3, 2)
 
 
 class TestNilHom:
