@@ -7,12 +7,10 @@ what every cross-check in the package ultimately compares.
 
 from __future__ import annotations
 
-from math import gcd
-
 from .errors import NotSubsetError, ValidationError
 from .matrices import (
-    HnfSolver, IntMatrix, divisibility_chain, hnf, rank, row_space_basis,
-    snf, snf_diagonal,
+    HnfSolver, IntMatrix, divisibility_chain, hnf, row_space_basis, snf,
+    snf_diagonal,
 )
 
 

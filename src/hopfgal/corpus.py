@@ -204,9 +204,12 @@ def group_from_json(obj):
         return named_group(obj["name"])
     if "table" in obj:
         G = FiniteGroup(_integer_rows(obj, "table"))
-        if "order" in obj and obj["order"] != G.order:
+        order = obj.get("order", G.order)
+        if not _is_int(order):
+            raise ValidationError("'order' must be an integer")
+        if order != G.order:
             raise ValidationError("order field says %r but the table has "
-                                  "%d elements" % (obj["order"], G.order))
+                                  "%d elements" % (order, G.order))
         return G
     if "generators" in obj:
         if not _is_int(obj.get("degree")):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import SizeLimitError, ValidationError
-from .groups import FiniteGroup, GroupHom, Subgroup, identity_hom
+from .groups import FiniteGroup, GroupHom, identity_hom
 
 MAX_CUBE_DIMENSION = 3
 _MAX_LIMIT_ENUM = 200_000

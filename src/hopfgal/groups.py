@@ -560,8 +560,12 @@ def from_permutations(degree, generators, max_order=MAX_ORDER):
     """Closure of permutation generators, BFS from the identity.
 
     Permutations are one-line images of 0..degree-1.  Element indices
-    follow discovery order, so the identity is 0.
+    follow discovery order, so the identity is 0.  The degree is at most
+    max_order, like the order of the closure.
     """
+    if not 0 <= degree <= max_order:
+        raise ValidationError("permutation degree %d is not in 0..%d"
+                              % (degree, max_order))
     gens = []
     for p in generators:
         p = tuple(int(x) for x in p)

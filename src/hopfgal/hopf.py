@@ -220,10 +220,15 @@ def parse_presentation(text):
     NilPresentation(['x', 'y'], ['x^2', 'y^2', '[x,y]'], class=1)
     """
     names = rels = nclass = None
+    seen = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        label = line.split(":", 1)[0]
+        if label in seen:
+            raise ValidationError("%s: appears more than once" % label)
+        seen.add(label)
         if line.startswith("gens:"):
             names = line[5:].split()
         elif line.startswith("rels:"):

@@ -4,9 +4,11 @@ Conventions used throughout the package: vectors are rows, lattices are row
 spans, and a matrix presents the map x -> x * M.  A relation matrix therefore
 has one row per relation, one column per generator.
 
-All arithmetic is arbitrary-precision.  The normal-form routines are pure
-Python; the sparse elimination path exists for boundary matrices of chain
-complexes, where rows carry only a handful of entries.
+All arithmetic is arbitrary-precision.  An `IntMatrix` stores only its
+nonzero entries, row by row, so the bar oracle's boundary matrices (well
+under 1% nonzero) cost memory in proportion to their entries.  Invariant
+factors come from one sparse elimination for every matrix; the Hermite and
+Smith forms with transforms work on dense copies.
 """
 
 from __future__ import annotations
@@ -18,97 +20,105 @@ from math import gcd
 class IntMatrix:
     """Immutable integer matrix.
 
+    Each row is stored as a tuple of its nonzero (col, value) pairs in
+    ascending column order, so equal matrices compare and hash equal
+    however they were built.
+
     >>> IntMatrix([[1, 2], [3, 4]]).shape
     (2, 2)
     >>> IntMatrix.from_triplets(2, 2, [(0, 1, 5)]).to_rows()
     [[0, 5], [0, 0]]
     """
 
-    __slots__ = ("rows", "cols", "_data", "prefer_sparse")
+    __slots__ = ("rows", "cols", "_nz")
 
-    def __init__(self, data, cols=None, prefer_sparse=False):
-        data = [tuple(int(x) for x in row) for row in data]
-        self.rows = len(data)
+    def __init__(self, data, cols=None):
+        data = [tuple(row) for row in data]
         if data:
             cols = len(data[0])
             if any(len(row) != cols for row in data):
                 raise ValueError("ragged rows")
         elif cols is None:
             cols = 0
+        self.rows = len(data)
         self.cols = int(cols)
-        self._data = tuple(data)
-        self.prefer_sparse = bool(prefer_sparse)
+        self._nz = tuple(tuple((j, v) for j, v in enumerate(row) if v)
+                         for row in data)
+
+    @classmethod
+    def _from_sparse(cls, rows, cols, nz):
+        mat = cls.__new__(cls)
+        mat.rows = rows
+        mat.cols = cols
+        mat._nz = tuple(nz)
+        return mat
 
     @classmethod
     def from_triplets(cls, rows, cols, triplets):
         """Build from (row, col, value) entries; later entries accumulate."""
-        grid = [[0] * cols for _ in range(rows)]
+        acc = [{} for _ in range(rows)]
         for i, j, v in triplets:
-            grid[i][j] += int(v)
-        return cls(grid, cols=cols, prefer_sparse=True)
+            if not 0 <= j < cols:
+                raise IndexError("column %d out of range" % j)
+            r = acc[i]
+            r[j] = r.get(j, 0) + v
+        return cls._from_sparse(rows, cols, (
+            tuple(sorted((j, v) for j, v in r.items() if v)) for r in acc))
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._from_sparse(n, n, (((i, 1),) for i in range(n)))
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._from_sparse(rows, cols, ((),) * rows)
 
     @property
     def shape(self):
         return (self.rows, self.cols)
 
     def entry(self, i, j):
-        return self._data[i][j]
+        if not 0 <= j < self.cols:
+            raise IndexError("column %d out of range" % j)
+        for c, v in self._nz[i]:
+            if c == j:
+                return v
+        return 0
 
     def row(self, i):
-        return list(self._data[i])
+        out = [0] * self.cols
+        for j, v in self._nz[i]:
+            out[j] = v
+        return out
 
     def to_rows(self):
-        return [list(r) for r in self._data]
+        return [self.row(i) for i in range(self.rows)]
 
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        orows = other._data
+        onz = other._nz
         out = []
-        for row in self._data:
-            acc = [0] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    orow = orows[k]
-                    for j in range(other.cols):
-                        if orow[j]:
-                            acc[j] += a * orow[j]
-            out.append(acc)
-        return IntMatrix(out, cols=other.cols)
+        for row in self._nz:
+            acc = {}
+            for k, a in row:
+                for j, b in onz[k]:
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(tuple(sorted((j, v) for j, v in acc.items() if v)))
+        return IntMatrix._from_sparse(self.rows, other.cols, out)
 
     def stack(self, other):
         if self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return IntMatrix(self.to_rows() + other.to_rows(), cols=self.cols)
-
-    def to_json(self):
-        if self.prefer_sparse:
-            trips = [[i, j, v] for i, row in enumerate(self._data)
-                     for j, v in enumerate(row) if v]
-            return {"rows": self.rows, "cols": self.cols, "triplets": trips}
-        return {"rows": self.rows, "cols": self.cols,
-                "entries": self.to_rows()}
-
-    @classmethod
-    def from_json(cls, obj):
-        if "triplets" in obj:
-            return cls.from_triplets(obj["rows"], obj["cols"], obj["triplets"])
-        return cls(obj["entries"], cols=obj["cols"])
+        return IntMatrix._from_sparse(self.rows + other.rows, self.cols,
+                                      self._nz + other._nz)
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.shape == other.shape
-                and self._data == other._data)
+                and self._nz == other._nz)
 
     def __hash__(self):
-        return hash((self.shape, self._data))
+        return hash((self.shape, self._nz))
 
     def __repr__(self):
         return "IntMatrix(%r)" % (self.to_rows(),)
@@ -177,14 +187,13 @@ def hnf(mat):
 def rank(mat):
     """Rank over the rationals (via the Hermite form)."""
     H, _ = hnf(mat)
-    return sum(1 for row in H.to_rows() if any(row))
+    return sum(1 for row in H._nz if row)
 
 
 def left_kernel(mat):
     """Basis of {x : x * mat = 0}, one basis vector per row."""
     H, U = hnf(mat)
-    rows = H.to_rows()
-    kern = [U.row(i) for i in range(mat.rows) if not any(rows[i])]
+    kern = [U.row(i) for i in range(mat.rows) if not H._nz[i]]
     return IntMatrix(kern, cols=mat.rows)
 
 
@@ -198,11 +207,7 @@ class HnfSolver:
         self.rows = mat.rows
         self._hrows = H.to_rows()
         self._urows = U.to_rows()
-        self._pivots = []
-        for i, row in enumerate(self._hrows):
-            lead = next((j for j, v in enumerate(row) if v), None)
-            if lead is not None:
-                self._pivots.append((i, lead))
+        self._pivots = [(i, nz[0][0]) for i, nz in enumerate(H._nz) if nz]
 
     def solve(self, target):
         """Coefficient row with coeffs * mat = target, or None."""
@@ -239,26 +244,18 @@ def lattice_intersection(a, b):
 
 def _swap_rows(A, U, i, j):
     A[i], A[j] = A[j], A[i]
-    if U is not None:
-        U[i], U[j] = U[j], U[i]
+    U[i], U[j] = U[j], U[i]
 
 
 def _swap_cols(A, V, i, j):
-    for row in A:
+    for row in A + V:
         row[i], row[j] = row[j], row[i]
-    if V is not None:
-        for row in V:
-            row[i], row[j] = row[j], row[i]
 
 
 def _addmul_col(A, V, dst, src, q):
-    for row in A:
+    for row in A + V:
         if row[src]:
             row[dst] += q * row[src]
-    if V is not None:
-        for row in V:
-            if row[src]:
-                row[dst] += q * row[src]
 
 
 def snf(mat):
@@ -384,15 +381,16 @@ def divisibility_chain(values):
 def _sparse_diagonal(mat):
     """Diagonal entries of an equivalent diagonal matrix, no transforms.
 
-    Pivots of absolute value 1 are pulled from a lazily validated heap
-    (cheap, and bar boundary rows are full of units); a full Markowitz
-    scan only runs when no unit entry is left.  Correct for any input;
-    intended for boundary matrices where rows are short.
+    Works on dict copies of the stored nonzero rows.  Pivots of absolute
+    value 1 are pulled from a lazily validated heap (cheap, and boundary
+    and relation rows are full of units); a full Markowitz scan only runs
+    when no unit entry is left.  The entries are not yet a divisibility
+    chain.
     """
     rows = {}
     col_index = {}
-    for i in range(mat.rows):
-        r = {j: v for j, v in enumerate(mat.row(i)) if v}
+    for i, nz in enumerate(mat._nz):
+        r = dict(nz)
         if r:
             rows[i] = r
             for j in r:
@@ -475,21 +473,15 @@ def _sparse_diagonal(mat):
     return diag
 
 
-_SPARSE_CUTOFF = 4096
-
-
 def snf_diagonal(mat):
     """Invariant factors of mat (the nonzero diagonal of its Smith form).
 
-    Dense elimination below a size cutoff, sparse elimination above it; both
-    finish with gcd/lcm exchanges to restore the divisibility chain.
+    One sparse elimination for every matrix, finished with gcd/lcm
+    exchanges that restore the divisibility chain.
+
+    >>> snf_diagonal(IntMatrix([[2, 4], [6, 8]]))
+    [2, 4]
     """
-    if mat.rows == 0 or mat.cols == 0:
-        return []
-    if mat.rows * mat.cols <= _SPARSE_CUTOFF and not mat.prefer_sparse:
-        D, _, _ = snf(mat)
-        return [D.entry(i, i) for i in range(min(mat.shape))
-                if D.entry(i, i)]
     return divisibility_chain(_sparse_diagonal(mat))
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -110,3 +111,17 @@ def test_independent_of_element_ordering():
             H = FiniteGroup(table)
             assert homology(H, 2) == base2
             assert homology(H, 1) == base1
+
+
+def test_boundary_memory_follows_nonzeros():
+    # the degree-4 boundary of Z12 is 14641 x 1331 with 69201 nonzeros; a
+    # dense grid of that shape needs about 156 MB for its list slots alone
+    G = cyclic(12)
+    tracemalloc.start()
+    try:
+        d = bar_boundary(G, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d.shape == (14641, 1331)
+    assert peak < 40 * 2 ** 20, peak

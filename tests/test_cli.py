@@ -223,6 +223,16 @@ MALFORMED = [
     pytest.param("homology", "--group", b'{"generators": [[1, 0]]}',
                  id="generators-without-degree"),
     pytest.param("galois", "--hom", b"[]", id="hom-not-an-object"),
+    pytest.param("homology", "--group", b'{"degree": -3, "generators": [[]]}',
+                 id="permutation-degree-negative"),
+    pytest.param("homology", "--group",
+                 b'{"degree": 1000000000, "generators": []}',
+                 id="permutation-degree-too-large"),
+    pytest.param("homology", "--group", b'{"table": [[0]], "order": true}',
+                 id="order-not-an-integer"),
+    pytest.param("homology", "--presentation",
+                 b"gens: x\nrels: x^2\nclass: 1\nclass: 2\n",
+                 id="presentation-label-repeated"),
 ]
 
 
@@ -230,7 +240,10 @@ MALFORMED = [
 def test_malformed_input_exits_two(capsys, tmp_path, command, flag, content):
     path = tmp_path / "input"
     path.write_bytes(content)
-    argv = ([command, "--method", "both"] if command == "homology"
+    # the engine that reads the file, so that only the bad input can
+    # account for exit 2
+    method = "bar" if flag == "--group" else "hopf"
+    argv = ([command, "--method", method] if command == "homology"
             else [command, "is-normal"])
     code, out, err = run(capsys, argv + [flag, str(path)])
     assert code == 2

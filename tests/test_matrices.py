@@ -89,6 +89,7 @@ def test_snf_properties():
 
 
 def test_snf_diagonal_matches_dense_and_sparse():
+    # the one sparse path against the diagonal of the dense Smith form
     rng = random.Random(13)
     for _ in range(120):
         m = rng.randrange(1, 6)
@@ -96,12 +97,13 @@ def test_snf_diagonal_matches_dense_and_sparse():
         entries = [[0] * n for _ in range(m)]
         for _ in range(rng.randrange(0, m * n + 1)):
             entries[rng.randrange(m)][rng.randrange(n)] = rng.randrange(-9, 10)
-        dense = IntMatrix(entries)
-        sparse = IntMatrix(entries, prefer_sparse=True)
-        D, _, _ = snf(dense)
+        M = IntMatrix(entries)
+        D, _, _ = snf(M)
         expect = [D.entry(i, i) for i in range(min(m, n)) if D.entry(i, i)]
-        assert snf_diagonal(dense) == expect
-        assert snf_diagonal(sparse) == expect
+        assert snf_diagonal(M) == expect
+        triplets = [(i, j, v) for i, row in enumerate(entries)
+                    for j, v in enumerate(row) if v]
+        assert snf_diagonal(IntMatrix.from_triplets(m, n, triplets)) == expect
 
 
 def test_square_snf_preserves_abs_det():
@@ -217,10 +219,66 @@ def test_bareiss_det_multiplicative():
         assert bareiss_det(A.mul(B)) == bareiss_det(A) * bareiss_det(B)
 
 
-def test_json_round_trip():
-    M = IntMatrix([[1, 0, -3], [0, 0, 7]])
-    assert IntMatrix.from_json(M.to_json()) == M
-    S = IntMatrix.from_triplets(3, 2, [(0, 1, 4), (2, 0, -1), (0, 1, 1)])
-    back = IntMatrix.from_json(S.to_json())
-    assert back == S
-    assert back.entry(0, 1) == 5
+def _random_dense(rng, m, n, density):
+    return [[rng.randrange(-9, 10) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(m)]
+
+
+def test_dense_and_triplet_construction_agree():
+    rng = random.Random(19)
+    for _ in range(150):
+        m, n = rng.randrange(0, 6), rng.randrange(1, 6)
+        entries = _random_dense(rng, m, n, rng.random())
+        triplets = []
+        for i, row in enumerate(entries):
+            for j, v in enumerate(row):
+                # explicit zeros, split values and pairs that cancel
+                triplets += [(i, j, v - 3), (i, j, 0), (i, j, 3)]
+                if rng.randrange(2):
+                    triplets += [(i, j, 5), (i, j, -5)]
+        rng.shuffle(triplets)
+        dense = IntMatrix(entries, cols=n)
+        built = IntMatrix.from_triplets(m, n, triplets)
+        assert dense == built
+        assert hash(dense) == hash(built)
+        assert built.to_rows() == entries
+    assert IntMatrix.from_triplets(2, 2, [(1, 0, 4), (1, 0, -4)]) == \
+        IntMatrix.zero(2, 2)
+    assert IntMatrix([[0, 0], [0, 0]]) == IntMatrix.zero(2, 2)
+    assert IntMatrix([[1, 0], [0, 1]]) == IntMatrix.identity(2)
+    assert IntMatrix([[1, 0]]) != IntMatrix([[1, 0, 0]])
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2], [3]])
+
+
+def test_mul_matches_dense_triple_loop():
+    rng = random.Random(20)
+    for _ in range(150):
+        m, k, n = (rng.randrange(0, 6) for _ in range(3))
+        a = _random_dense(rng, m, k, rng.random())
+        b = _random_dense(rng, k, n, rng.random())
+        want = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)]
+                for i in range(m)]
+        got = IntMatrix(a, cols=k).mul(IntMatrix(b, cols=n))
+        assert got.shape == (m, n)
+        assert got.to_rows() == want
+        assert got == IntMatrix(want, cols=n)
+
+
+def test_entry_row_to_rows_and_stack_round_trip():
+    rng = random.Random(21)
+    for _ in range(100):
+        n = rng.randrange(1, 6)
+        a = _random_dense(rng, rng.randrange(0, 5), n, 0.4)
+        b = _random_dense(rng, rng.randrange(0, 5), n, 0.4)
+        A, B = IntMatrix(a, cols=n), IntMatrix(b, cols=n)
+        assert A.to_rows() == a
+        assert [A.row(i) for i in range(A.rows)] == a
+        assert all(A.entry(i, j) == a[i][j]
+                   for i in range(A.rows) for j in range(n))
+        S = A.stack(B)
+        assert S.shape == (len(a) + len(b), n)
+        assert S.to_rows() == a + b
+        assert S == IntMatrix(a + b, cols=n)
+        assert IntMatrix(S.to_rows(), cols=n) == S
+        assert repr(S) == "IntMatrix(%r)" % (a + b,)
