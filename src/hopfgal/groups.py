@@ -33,7 +33,13 @@ class FiniteGroup:
     __slots__ = ("table", "order", "inv", "name")
 
     def __init__(self, table, name=None, validate=True):
-        table = tuple(tuple(int(x) for x in row) for row in table)
+        """validate=False is for tables the package built itself: their
+        rows are kept as they are, and only the shape and two-sided
+        inverses are checked."""
+        if validate:
+            table = tuple(tuple(int(x) for x in row) for row in table)
+        else:
+            table = tuple(map(tuple, table))
         n = len(table)
         if n == 0:
             raise ValidationError("empty table")
@@ -44,14 +50,12 @@ class FiniteGroup:
         self.name = name
         if validate:
             self._validate()
-        inv = [None] * n
-        for g in range(n):
-            for h in range(n):
-                if table[g][h] == 0 and table[h][g] == 0:
-                    inv[g] = h
-                    break
-            if inv[g] is None:
+        inv = []
+        for g, row in enumerate(table):
+            h = row.index(0) if 0 in row else None
+            if h is None or table[h][g] != 0:
                 raise ValidationError("element %d has no inverse" % g)
+            inv.append(h)
         self.inv = tuple(inv)
 
     def _validate(self):
@@ -439,15 +443,12 @@ def inner_automorphism(G, g):
 
 
 class DirectProduct:
-    """A x B with projections, injections, and index helpers."""
+    """A x B with its projections; element (a, b) is a * |B| + b."""
 
-    __slots__ = ("group", "left", "right", "proj0", "proj1", "inj0", "inj1")
+    __slots__ = ("group", "right", "proj0", "proj1")
 
     def __init__(self, A, B, max_order=MAX_ORDER):
-        n = A.order * B.order
-        if n > max_order:
-            raise SizeLimitError("product order %d exceeds bound %d"
-                                 % (n, max_order))
+        n = _product_order(A, B, max_order)
         bo = B.order
         at, bt = A.table, B.table
         table = [[0] * n for _ in range(n)]
@@ -461,21 +462,22 @@ class DirectProduct:
                     for b2 in range(bo):
                         r[a2 * bo + b2] = base + rb[b2]
         self.group = FiniteGroup(table, validate=False)
-        self.left = A
         self.right = B
         self.proj0 = GroupHom(self.group, A, [i // bo for i in range(n)],
                               validate=False)
         self.proj1 = GroupHom(self.group, B, [i % bo for i in range(n)],
                               validate=False)
-        self.inj0 = GroupHom(A, self.group, [a * bo for a in range(A.order)],
-                             validate=False)
-        self.inj1 = GroupHom(B, self.group, range(bo), validate=False)
 
     def pair(self, a, b):
         return a * self.right.order + b
 
-    def split(self, x):
-        return divmod(x, self.right.order)
+
+def _product_order(A, B, max_order):
+    n = A.order * B.order
+    if n > max_order:
+        raise SizeLimitError("product order %d exceeds bound %d"
+                             % (n, max_order))
+    return n
 
 
 def direct_product(A, B, max_order=MAX_ORDER):
@@ -483,16 +485,29 @@ def direct_product(A, B, max_order=MAX_ORDER):
 
 
 def pullback(f, g, max_order=MAX_ORDER):
-    """Fiber product of f and g: (group, projection to dom f, to dom g)."""
+    """Fiber product of f and g: (group, projection to dom f, to dom g).
+
+    Its elements are the pairs (a, b) with f(a) == g(b), numbered in
+    ascending order of a, then b, as they are inside A x B.  The bound
+    is on |A|·|B|, as for A x B.
+    """
     if f.codomain is not g.codomain:
         raise ValidationError("pullback needs a common codomain")
-    prod = DirectProduct(f.domain, g.domain, max_order=max_order)
-    members = [prod.pair(a, b)
-               for a in f.domain.elements() for b in g.domain.elements()
-               if f(a) == g(b)]
-    sub = Subgroup(prod.group, members, _checked=True)
-    P, incl = sub.as_group()
-    return P, incl.then(prod.proj0), incl.then(prod.proj1)
+    A, B = f.domain, g.domain
+    _product_order(A, B, max_order)
+    fibres = [[] for _ in range(f.codomain.order)]
+    for b in B.elements():
+        fibres[g(b)].append(b)
+    pairs = [(a, b) for a in A.elements() for b in fibres[f(a)]]
+    index = {p: i for i, p in enumerate(pairs)}
+    at, bt = A.table, B.table
+    table = []
+    for a1, b1 in pairs:
+        ra, rb = at[a1], bt[b1]
+        table.append([index[ra[a2], rb[b2]] for a2, b2 in pairs])
+    P = FiniteGroup(table, validate=False)
+    return (P, GroupHom(P, A, [a for a, _ in pairs], validate=False),
+            GroupHom(P, B, [b for _, b in pairs], validate=False))
 
 
 def pairing_hom(f, g):

@@ -222,8 +222,8 @@ def parse_presentation(text):
     names = rels = nclass = None
     seen = set()
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         label = line.split(":", 1)[0]
         if label in seen:

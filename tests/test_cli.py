@@ -199,6 +199,21 @@ def _hom_text(mapping):
                        "mapping": mapping})
 
 
+@pytest.mark.parametrize("text", [
+    "# Z2, whole-line comment\ngens: x\nrels: x^2\nclass: 1\n",
+    "gens: x # the generator\nrels: x^2\nclass: 1\n",
+    "gens: x\nrels: x^2 # relator\nclass: 1  # bound\n",
+], ids=["whole-line", "after-gens", "after-rels-and-class"])
+def test_presentation_comments_are_ignored(capsys, tmp_path, text):
+    path = tmp_path / "z2.pres"
+    path.write_text(text)
+    code, blob, _ = run_json(
+        capsys, ["homology", "--method", "hopf", "--degree", "2",
+                 "--presentation", str(path)])
+    assert code == 0
+    assert blob["results"]["hopf"] == {"free_rank": 0, "factors": []}
+
+
 MALFORMED = [
     pytest.param("homology", "--presentation",
                  b"gens: x\nrels: x^2\nclass: abc\n", id="class-not-integer"),

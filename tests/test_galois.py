@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
+from hopfgal.checks import check_centrality
 from hopfgal.corpus import cyclic, dihedral, klein4, quaternion8, symmetric
 from hopfgal.errors import ValidationError
 from hopfgal.galois import (GaloisContext, centralize, characterisation_normal,
@@ -303,3 +305,16 @@ class TestNormalRadical:
             assert sub.is_normal()
             if p.kernel().is_central():
                 assert normal_radical_check(AT2, p).is_normal()
+
+
+def test_centrality_memory_follows_fibre_pairs():
+    # pullbacks are built on their fibre pairs: the full A x B table of two
+    # order-12 groups would hold 20736 entries per kernel pair
+    tracemalloc.start()
+    try:
+        report = check_centrality(12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 8 * 2 ** 20, peak

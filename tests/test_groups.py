@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hopfgal.abelian import FgAbelianGroup, PrimeSet
+from hopfgal.checks import enumerate_extensions
 from hopfgal.corpus import (
     abelian, cyclic, dihedral, group_from_json, klein4, named_group,
     nilpotent_corpus, quaternion8, symmetric,
@@ -131,6 +132,51 @@ def test_pullback_examples():
     assert P3.order == 6
     with pytest.raises(ValidationError):
         pullback(f, identity_hom(Z4))
+
+
+def test_pullback_matches_fibres_of_direct_product():
+    # reference: the fibre pairs taken as a subgroup of A x B
+    by_base = {}
+    for _, _, f in enumerate_extensions(8):
+        by_base.setdefault(id(f.codomain), []).append(f)
+    pairs = 0
+    for homs in by_base.values():
+        for f in homs:
+            for g in homs:
+                prod = direct_product(f.domain, g.domain)
+                sub = Subgroup(prod.group,
+                               [prod.pair(a, b) for a in f.domain.elements()
+                                for b in g.domain.elements() if f(a) == g(b)])
+                want, incl = sub.as_group()
+                P, p1, p2 = pullback(f, g)
+                assert P.table == want.table
+                assert p1.mapping == incl.then(prod.proj0).mapping
+                assert p2.mapping == incl.then(prod.proj1).mapping
+                pairs += 1
+    assert pairs == 1122
+
+
+def test_pullback_bound_is_on_the_product_order():
+    Z4, Z2 = cyclic(4), cyclic(2)
+    f = GroupHom(Z4, Z2, [0, 1, 0, 1])
+    # the pullback has order 8, but |Z4| * |Z4| = 16 is what is bounded
+    with pytest.raises(SizeLimitError, match="product order 16 exceeds "
+                                             "bound 15"):
+        pullback(f, f, max_order=15)
+    assert pullback(f, f, max_order=16)[0].order == 8
+
+
+def test_one_sided_inverse_is_rejected_without_validation():
+    # 2 * 3 = 0 but 3 * 2 = 1: a loop, so element 2 has no two-sided inverse
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 3, 4, 0, 1],
+        [3, 4, 1, 2, 0],
+        [4, 2, 0, 1, 3],
+    ]
+    with pytest.raises(ValidationError, match="element 2 has no inverse"):
+        FiniteGroup(loop, validate=False)
 
 
 def test_closure_P_examples():
