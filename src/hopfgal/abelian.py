@@ -7,11 +7,8 @@ what every cross-check in the package ultimately compares.
 
 from __future__ import annotations
 
-from .errors import NotSubsetError, ValidationError
-from .matrices import (
-    HnfSolver, IntMatrix, divisibility_chain, hnf, row_space_basis, snf,
-    snf_diagonal,
-)
+from .errors import ValidationError
+from .matrices import IntMatrix, divisibility_chain, hnf, snf, snf_diagonal
 
 
 def _is_prime(n):
@@ -92,12 +89,6 @@ class PrimeSet:
                 out *= p
         return out
 
-    def coprime_part_of(self, n):
-        n = abs(int(n))
-        if n == 0:
-            raise ValidationError("no coprime part of 0")
-        return n // self.part_of(n)
-
 
 class FgAbelianGroup:
     """Invariant-factor normal form of a finitely generated abelian group.
@@ -144,11 +135,6 @@ class FgAbelianGroup:
             return cls(n_gens, ())
         diag = snf_diagonal(rel)
         return cls(n_gens - len(diag), [d for d in diag if d > 1])
-
-    def direct_sum(self, other):
-        return FgAbelianGroup.from_orders(
-            [0] * (self.free_rank + other.free_rank)
-            + list(self.factors) + list(other.factors))
 
     def order(self):
         if self.free_rank:
@@ -198,10 +184,6 @@ class FgAbelianGroup:
     def to_json(self):
         return {"free_rank": self.free_rank, "factors": list(self.factors)}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["free_rank"], obj["factors"])
-
     def __eq__(self, other):
         return (isinstance(other, FgAbelianGroup)
                 and self.free_rank == other.free_rank
@@ -224,24 +206,6 @@ def unimodular_inverse(V):
     if H != IntMatrix.identity(V.rows):
         raise ValidationError("matrix is not unimodular")
     return U
-
-
-def lattice_quotient_invariants(num, den):
-    """Invariants of rowspan(num) / rowspan(den) as an abelian group.
-
-    Both arguments are row-generating sets of lattices in the same Z^n;
-    rowspan(den) must lie inside rowspan(num).
-    """
-    base = row_space_basis(num)
-    solver = HnfSolver(base)
-    coeffs = []
-    for drow in den.to_rows():
-        c = solver.solve(drow)
-        if c is None:
-            raise NotSubsetError("denominator lattice not inside numerator")
-        coeffs.append(c)
-    return FgAbelianGroup.from_relation_matrix(
-        base.rows, IntMatrix(coeffs, cols=base.rows))
 
 
 def torsion_closure_rows(n_gens, rel, primes):

@@ -13,8 +13,8 @@ import random
 
 from .abelian import PrimeSet
 from .bar import BarConfig, bar_boundary, homology
-from .corpus import (abelian, corpus_up_to, cyclic, dihedral, klein4,
-                     quaternion8)
+from .corpus import (PRESENTED, TRIVIAL_PRESENTED, canonical_name,
+                     corpus_up_to, cyclic, dihedral, klein4, quaternion8)
 from .cubes import (cube_from_normal_subgroups, delta_i, delta_inverse,
                     delta_square_commutes, interchange_holds, is_n_extension,
                     joint_kernel, kernel_of_morphism, rho_i)
@@ -67,36 +67,20 @@ def presented_nilpotent_corpus():
     what the bar oracle consumes.  Keeping them side by side is what
     makes the dual-route comparisons possible.
     """
-    out = [("Z%d" % n, NilPresentation(["x"], ["x^%d" % n], 1), cyclic(n))
-           for n in range(2, 17)]
-    out.append(("Z2xZ2",
-                NilPresentation(["x", "y"], ["x^2", "y^2", "[x,y]"], 1),
-                klein4()))
-    out.append(("Z2xZ4",
-                NilPresentation(["x", "y"], ["x^2", "y^4", "[x,y]"], 1),
-                abelian([2, 4])))
-    out.append(("Z3xZ3",
-                NilPresentation(["x", "y"], ["x^3", "y^3", "[x,y]"], 1),
-                abelian([3, 3])))
-    out.append(("D4",
-                NilPresentation(["r", "s"], ["r^4", "s^2", "[r,s]r^2"], 2),
-                dihedral(4)))
-    out.append(("Q8",
-                NilPresentation(["a", "b"], ["a^4", "a^2b^2", "[a,b]a^2"], 2),
-                quaternion8()))
-    return out
+    return [(name, NilPresentation(gens, rels, nclass), build())
+            for name, build, gens, rels, nclass in PRESENTED]
 
 
 def presentation_for(name):
-    key = name.lower()
-    key = {"v4": "z2xz2"}.get(key, key)
-    if key.startswith("c") and key[1:].isdigit():
-        key = "z" + key[1:]
-    if key in ("trivial", "z1"):
-        return NilPresentation(["x"], ["x"], 1)
-    for entry, pres, _ in presented_nilpotent_corpus():
+    """The presentation on file for a corpus name or alias.
+
+    >>> presentation_for("V4").relators
+    ['x^2', 'y^2', '[x,y]']
+    """
+    key = canonical_name(name)
+    for entry, _, gens, rels, nclass in (TRIVIAL_PRESENTED,) + PRESENTED:
         if entry.lower() == key:
-            return pres
+            return NilPresentation(gens, rels, nclass)
     raise ValidationError("no presentation on file for %r" % (name,))
 
 

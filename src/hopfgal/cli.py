@@ -20,7 +20,7 @@ from . import __version__
 from .abelian import FgAbelianGroup, PrimeSet
 from .bar import BarConfig, homology
 from .checks import presentation_for, run_suite
-from .corpus import group_from_json, named_group
+from .corpus import group_from_json, is_integer, named_group
 from .errors import SizeLimitError, ValidationError
 from .galois import (GaloisContext, centralize, characterisation_normal,
                      galois_group, is_normal_ext, is_trivial_ext)
@@ -38,8 +38,12 @@ def _env_max_order(default):
     except ValueError:
         raise ValidationError("HOPFGAL_MAX_ORDER must be an integer, got %r"
                               % raw)
+    return _positive(value, "HOPFGAL_MAX_ORDER")
+
+
+def _positive(value, what):
     if value < 1:
-        raise ValidationError("HOPFGAL_MAX_ORDER must be positive")
+        raise ValidationError("%s must be positive" % what)
     return value
 
 
@@ -203,9 +207,12 @@ def _hom_from_file(path):
     for key in ("domain", "codomain", "mapping"):
         if key not in obj:
             raise ValidationError("hom file needs %r" % key)
+    mapping = obj["mapping"]
+    if not (isinstance(mapping, list) and all(map(is_integer, mapping))):
+        raise ValidationError("'mapping' must be a list of integers")
     dom = group_from_json(obj["domain"])
     cod = group_from_json(obj["codomain"])
-    return GroupHom(dom, cod, obj["mapping"]), obj
+    return GroupHom(dom, cod, mapping), obj
 
 
 def cmd_galois(args, argv):
@@ -239,7 +246,7 @@ def cmd_galois(args, argv):
 
 def cmd_verify(args, argv):
     report = RunReport(argv)
-    max_order = _env_max_order(args.max_order)
+    max_order = _positive(_env_max_order(args.max_order), "--max-order")
     report.inputs["suites"] = args.suite
     report.inputs["seed"] = args.seed
     report.inputs["max_order"] = max_order

@@ -3,13 +3,15 @@
 Everything is produced by constructors rather than shipped tables, so the
 corpus cannot drift from the group operations.  The two standing corpora:
 
-* nilpotent_corpus: the groups whose homology both engines can reach
-  (cyclic 2..16, the two-generator abelian examples, D4, Q8);
+* nilpotent_corpus: the groups of PRESENTED, whose homology both engines
+  can reach (cyclic 2..16, the two-generator abelian examples, D4, Q8);
 * full_corpus: adds the symmetric groups S3 and S4, which only the
   finite-group paths (bar homology, Galois checks) consume.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .errors import ValidationError
 from .groups import FiniteGroup, direct_product, from_permutations
@@ -120,34 +122,46 @@ def klein4():
     return abelian([2, 2])
 
 
-_NAMED = {}
+# The presented nilpotent corpus, one row per group: name, group builder,
+# then the generators, relators and class bound of its presentation.  The
+# groups feed the bar oracle and the presentations the Hopf engine, so the
+# two engines are compared group by group.
+PRESENTED = tuple(
+    [("Z%d" % n, partial(cyclic, n), ["x"], ["x^%d" % n], 1)
+     for n in range(2, 17)]
+    + [("Z2xZ2", klein4, ["x", "y"], ["x^2", "y^2", "[x,y]"], 1),
+       ("Z2xZ4", partial(abelian, [2, 4]), ["x", "y"],
+        ["x^2", "y^4", "[x,y]"], 1),
+       ("Z3xZ3", partial(abelian, [3, 3]), ["x", "y"],
+        ["x^3", "y^3", "[x,y]"], 1),
+       ("D4", partial(dihedral, 4), ["r", "s"], ["r^4", "s^2", "[r,s]r^2"],
+        2),
+       ("Q8", quaternion8, ["a", "b"], ["a^4", "a^2b^2", "[a,b]a^2"], 2)])
+
+# the trivial group has a presentation too, but is no corpus member
+TRIVIAL_PRESENTED = ("Z1", partial(cyclic, 1), ["x"], ["x"], 1)
+
+_NAMED = {name.lower(): build
+          for name, build, *_ in (TRIVIAL_PRESENTED,) + PRESENTED}
+_NAMED.update({"d%d" % n: partial(dihedral, n) for n in range(1, 9)})
+_NAMED.update({"s%d" % n: partial(symmetric, n) for n in range(1, 5)})
+
+_ALIASES = {"trivial": "z1", "v4": "z2xz2",
+            **{"c%d" % n: "z%d" % n for n in range(1, 17)}}
 
 
-def _register(name, builder):
-    _NAMED[name.lower()] = builder
-
-
-for _n in range(1, 17):
-    _register("Z%d" % _n, (lambda k: (lambda: cyclic(k)))(_n))
-    _register("C%d" % _n, (lambda k: (lambda: cyclic(k)))(_n))
-for _n in range(1, 9):
-    _register("D%d" % _n, (lambda k: (lambda: dihedral(k)))(_n))
-for _n in range(1, 5):
-    _register("S%d" % _n, (lambda k: (lambda: symmetric(k)))(_n))
-_register("Q8", quaternion8)
-_register("trivial", lambda: cyclic(1))
-_register("V4", klein4)
-_register("Z2xZ2", klein4)
-_register("Z2xZ4", lambda: abelian([2, 4]))
-_register("Z3xZ3", lambda: abelian([3, 3]))
+def canonical_name(name):
+    """The lower-case corpus key of a name or alias: 'V4' -> 'z2xz2'."""
+    key = name.lower()
+    return _ALIASES.get(key, key)
 
 
 def named_group(name):
-    """Look up a corpus group by name (case-insensitive).
+    """Look up a corpus group by name or alias (case-insensitive).
 
     Product names compose with 'x': 'Z2xZ6' builds the product.
     """
-    key = name.lower()
+    key = canonical_name(name)
     if key in _NAMED:
         return _NAMED[key]()
     if "x" in key:
@@ -159,13 +173,7 @@ def named_group(name):
 
 def nilpotent_corpus():
     """The nilpotent groups of order <= 16 both homology engines cover."""
-    out = [("Z%d" % n, cyclic(n)) for n in range(2, 17)]
-    out += [("Z2xZ2", klein4()),
-            ("Z2xZ4", abelian([2, 4])),
-            ("Z3xZ3", abelian([3, 3])),
-            ("D4", dihedral(4)),
-            ("Q8", quaternion8())]
-    return out
+    return [(name, build()) for name, build, *_ in PRESENTED]
 
 
 def full_corpus():
@@ -177,14 +185,15 @@ def corpus_up_to(max_order):
     return [(name, G) for name, G in full_corpus() if G.order <= max_order]
 
 
-def _is_int(x):
+def is_integer(x):
+    """A JSON integer: an int that is not a bool (so not true or 1.0)."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _integer_rows(obj, key):
     rows = obj[key]
     if not (isinstance(rows, list) and all(
-            isinstance(row, list) and all(_is_int(x) for x in row)
+            isinstance(row, list) and all(is_integer(x) for x in row)
             for row in rows)):
         raise ValidationError("%r must be a list of integer lists" % key)
     return rows
@@ -205,14 +214,14 @@ def group_from_json(obj):
     if "table" in obj:
         G = FiniteGroup(_integer_rows(obj, "table"))
         order = obj.get("order", G.order)
-        if not _is_int(order):
+        if not is_integer(order):
             raise ValidationError("'order' must be an integer")
         if order != G.order:
             raise ValidationError("order field says %r but the table has "
                                   "%d elements" % (order, G.order))
         return G
     if "generators" in obj:
-        if not _is_int(obj.get("degree")):
+        if not is_integer(obj.get("degree")):
             raise ValidationError("'generators' needs an integer 'degree'")
         return from_permutations(obj["degree"],
                                  _integer_rows(obj, "generators"))

@@ -80,12 +80,6 @@ class CubeExtension:
                 "comparison maps are not all surjective; "
                 "build with check_extension=False for a mere cube")
 
-    def object(self, mask):
-        return self.objects[mask]
-
-    def face(self, t, s):
-        return self.faces[(t, s)]
-
     def hom(self, t, s):
         """The composite homomorphism object(t) -> object(s), s subset t."""
         if s & ~t:
@@ -105,9 +99,6 @@ class CubeExtension:
     def top(self):
         return self.objects[(1 << self.n) - 1]
 
-    def bottom(self):
-        return self.objects[0]
-
     def __eq__(self, other):
         if not isinstance(other, CubeExtension) or self.n != other.n:
             return False
@@ -120,26 +111,6 @@ class CubeExtension:
     def __hash__(self):
         return hash((self.n, tuple(sorted((k, f.mapping)
                                           for k, f in self.faces.items()))))
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "objects": {str(m): g.to_json() for m, g in self.objects.items()},
-            "faces": {"%d>%d" % k: list(f.mapping)
-                      for k, f in self.faces.items()},
-        }
-
-    @classmethod
-    def from_json(cls, obj, check_extension=True):
-        n = int(obj["n"])
-        objects = {int(k): FiniteGroup.from_json(v)
-                   for k, v in obj["objects"].items()}
-        faces = {}
-        for key, mapping in obj["faces"].items():
-            t, s = (int(x) for x in key.split(">"))
-            faces[(t, s)] = GroupHom(objects[t], objects[s],
-                                     list(mapping))
-        return cls(n, objects, faces, check_extension=check_extension)
 
 
 class CubeMorphism:
@@ -263,20 +234,6 @@ def is_double_extension(f1, f0, a, b):
 
 # ---- building cubes -------------------------------------------------------
 
-def cube_from_surjection(f):
-    """The 1-cube of a surjective homomorphism."""
-    if not f.is_surjective():
-        raise ValidationError("a 1-cube extension needs a surjection")
-    return CubeExtension(1, {1: f.domain, 0: f.codomain}, {(1, 0): f})
-
-
-def cube_from_square(f1, f0, a, b, check_extension=True):
-    """The 2-cube with top maps f1 (direction 0) and f0 (direction 1)."""
-    objects = {3: f1.domain, 1: f1.codomain, 2: f0.codomain, 0: a.codomain}
-    faces = {(3, 1): f1, (3, 2): f0, (1, 0): a, (2, 0): b}
-    return CubeExtension(2, objects, faces, check_extension=check_extension)
-
-
 def cube_from_normal_subgroups(G, normals, check_extension=True):
     """The n-cube S |-> G / (product of N_i over i not in S).
 
@@ -316,26 +273,6 @@ def cube_from_normal_subgroups(G, normals, check_extension=True):
                 faces[(t, s)] = GroupHom(objects[t], objects[s], mapping,
                                          validate=False)
     return CubeExtension(n, objects, faces, check_extension=check_extension)
-
-
-def iota_cube(G, n):
-    """G placed at the top subset, trivial groups elsewhere.
-
-    A degenerate but genuine n-fold extension for every G.
-    """
-    point = FiniteGroup([[0]], validate=False)
-    full = (1 << n) - 1
-    objects = {mask: (G if mask == full else point)
-               for mask in range(1 << n)}
-    faces = {}
-    for t in range(1 << n):
-        for i in range(n):
-            if t >> i & 1:
-                s = t & ~(1 << i)
-                size = objects[t].order
-                faces[(t, s)] = GroupHom(objects[t], objects[s], [0] * size,
-                                         validate=False)
-    return CubeExtension(n, objects, faces)
 
 
 # ---- face calculus --------------------------------------------------------

@@ -122,12 +122,6 @@ class FreeNilGroup:
     def basis_size(self):
         return len(self.letters)
 
-    def weight_counts(self):
-        counts = [0] * (self.nclass + 1)
-        for l in self.letters:
-            counts[l.weight] += 1
-        return counts[1:]
-
     def identity(self):
         return self._identity
 
@@ -469,10 +463,6 @@ class NilWord:
 
     def __repr__(self):
         return "NilWord(%r)" % (self.exps,)
-
-    def to_json(self):
-        return {"rank": self.parent.rank, "class": self.parent.nclass,
-                "exponents": list(self.exps)}
 
 
 class NilHom:

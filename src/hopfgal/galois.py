@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from .abelian import PrimeSet
 from .errors import InternalCheckError, ValidationError
-from .groups import (GroupHom, Subgroup, all_homs, closure_P,
-                     commutator_subgroup, local_torsion_is_trivial,
-                     pairing_hom, pullback)
+from .groups import (GroupHom, Subgroup, closure_P, commutator_subgroup,
+                     local_torsion_is_trivial, pairing_hom, pullback)
 
 
 class GaloisContext:
@@ -76,28 +75,20 @@ def _pair_index(P, p0, p1):
     return {(p0(x), p1(x)): x for x in P.elements()}
 
 
-def _comparison_to_pullback(ctx, f):
-    """<f, unit>: A -> B x_{I(B)} I(A), with the pullback pieces."""
-    A, B = f.domain, f.codomain
-    IA, eta_a = ctx.reflect(A)
-    _, eta_b = ctx.reflect(B)
-    If = ctx.induced(f)
-    P, to_b, to_ia = pullback(eta_b, If)
-    index = _pair_index(P, to_b, to_ia)
-    mapping = [index[(f(a), eta_a(a))] for a in A.elements()]
-    return GroupHom(A, P, mapping, validate=False), to_b
-
-
 def is_trivial_ext(ctx, f):
     """Whether f is split by its own reflection square.
 
-    True iff <f, unit> identifies the domain with the pullback of the
-    codomain against the reflected domain.
+    True iff <f, unit> identifies the domain with the pullback
+    B x_{I(B)} I(A) of the codomain against the reflected domain.
     """
     _require_extension(f)
-    cmp_hom, _ = _comparison_to_pullback(ctx, f)
-    return (len(set(cmp_hom.mapping)) == f.domain.order
-            and f.domain.order == cmp_hom.codomain.order)
+    A = f.domain
+    _, eta_a = ctx.reflect(A)
+    _, eta_b = ctx.reflect(f.codomain)
+    P, to_b, to_ia = pullback(eta_b, ctx.induced(f))
+    index = _pair_index(P, to_b, to_ia)
+    image = {index[(f(a), eta_a(a))] for a in A.elements()}
+    return len(image) == A.order == P.order
 
 
 def characterisation_normal(ctx, f):
@@ -145,30 +136,6 @@ def centralize(ctx, f):
     for a in A.elements():
         mapping[unit(a)] = f(a)
     return GroupHom(A1, f.codomain, mapping, validate=False), unit
-
-
-def trivialize_split(ctx, f):
-    """The trivial extension over the same base that covers f.
-
-    Returns (t, c): the pullback extension t: B x_{I(B)} I(A) -> B and
-    the canonical comparison c from the domain of f into its domain.
-    """
-    _require_extension(f)
-    cmp_hom, to_b = _comparison_to_pullback(ctx, f)
-    return to_b, cmp_hom
-
-
-def radical_split(ctx, f):
-    """The radical part of a split extension: radical(A) /\\ Ker f.
-
-    Raises ValidationError when no section of f exists.
-    """
-    _require_extension(f)
-    A, B = f.domain, f.codomain
-    ident = tuple(range(B.order))
-    if not any(s.then(f).mapping == ident for s in all_homs(B, A)):
-        raise ValidationError("extension admits no section")
-    return ctx.radical(A).intersection(f.kernel())
 
 
 def galois_group(ctx, p):

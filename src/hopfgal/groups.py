@@ -30,7 +30,7 @@ class FiniteGroup:
     3
     """
 
-    __slots__ = ("table", "order", "inv", "name")
+    __slots__ = ("table", "order", "inv", "name", "_derived")
 
     def __init__(self, table, name=None, validate=True):
         """validate=False is for tables the package built itself: their
@@ -57,6 +57,7 @@ class FiniteGroup:
                 raise ValidationError("element %d has no inverse" % g)
             inv.append(h)
         self.inv = tuple(inv)
+        self._derived = None
 
     def _validate(self):
         n = self.order
@@ -153,25 +154,15 @@ class FiniteGroup:
         return Subgroup(self, members, _checked=True)
 
     def derived_subgroup(self):
-        return commutator_subgroup(self.full_subgroup(), self.full_subgroup())
+        """[G, G], kept after the first call: groups are immutable.
 
-    def lower_central_series(self):
-        """[G, [G,G], [G,[G,G]], ...] down to the stable term."""
-        series = [self.full_subgroup()]
-        while True:
-            nxt = commutator_subgroup(series[-1], self.full_subgroup())
-            if nxt.members == series[-1].members:
-                return series
-            series.append(nxt)
-
-    def is_nilpotent(self):
-        return len(self.lower_central_series()[-1]) == 1
-
-    def nilpotency_class(self):
-        series = self.lower_central_series()
-        if len(series[-1]) != 1:
-            return None
-        return len(series) - 1
+        Only the members are kept.  A kept Subgroup would point back at
+        the group, which would then wait for the cycle collector.
+        """
+        if self._derived is None:
+            G = self.full_subgroup()
+            self._derived = commutator_subgroup(G, G).members
+        return Subgroup(self, self._derived, _checked=True)
 
     def abelian_invariants(self):
         """Invariant factors, for an abelian group, by order statistics.
@@ -249,10 +240,6 @@ class FiniteGroup:
 
     def to_json(self):
         return {"order": self.order, "table": [list(r) for r in self.table]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["table"])
 
     def __repr__(self):
         return "FiniteGroup(order=%d%s)" % (
@@ -393,9 +380,6 @@ class GroupHom:
                          if self.mapping[g] == 0],
                         _checked=True)
 
-    def image(self):
-        return Subgroup(self.codomain, set(self.mapping), _checked=True)
-
     def image_of(self, sub):
         return Subgroup(self.codomain,
                         {self.mapping[g] for g in sub.members},
@@ -414,9 +398,6 @@ class GroupHom:
     def is_injective(self):
         return len(set(self.mapping)) == self.domain.order
 
-    def is_isomorphism(self):
-        return self.is_surjective() and self.is_injective()
-
     def then(self, other):
         """self followed by other (their composite as one hom)."""
         if other.domain is not self.codomain:
@@ -424,13 +405,6 @@ class GroupHom:
         return GroupHom(self.domain, other.codomain,
                         [other.mapping[x] for x in self.mapping],
                         validate=False)
-
-    def restrict(self, sub):
-        """Restriction to a subgroup of the domain, as a hom of groups."""
-        H, incl = sub.as_group()
-        return GroupHom(H, self.codomain,
-                        [self.mapping[m] for m in sub.members],
-                        validate=False), incl
 
 
 def identity_hom(G):

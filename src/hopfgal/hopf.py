@@ -431,10 +431,6 @@ class HopfResult:
         self.stabilization = stabilization
         self.provenance = provenance
 
-    @property
-    def is_conclusive(self):
-        return self.stabilization != "UNSTABLE"
-
     def to_json(self):
         return {
             "value": None if self.value is None else self.value.to_json(),

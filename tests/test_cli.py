@@ -228,6 +228,12 @@ MALFORMED = [
                  id="mapping-leaves-codomain"),
     pytest.param("galois", "--hom", _hom_text("ab").encode(),
                  id="mapping-not-integers"),
+    pytest.param("galois", "--hom", _hom_text([0, 1.0]).encode(),
+                 id="mapping-entry-is-a-float"),
+    pytest.param("galois", "--hom", _hom_text([0, True]).encode(),
+                 id="mapping-entry-is-a-bool"),
+    pytest.param("galois", "--hom", _hom_text("01").encode(),
+                 id="mapping-is-a-digit-string"),
     pytest.param("homology", "--group", b'{"table": [["a"]]}',
                  id="table-entry-not-integer"),
     pytest.param("homology", "--group", b"5", id="group-not-an-object"),
@@ -286,6 +292,15 @@ class TestVerifyCommand:
                      "--max-order", "8"])
         assert code == 0
         assert set(blob["results"]) == {"matrices", "closure"}
+
+    @pytest.mark.parametrize("suite,value", [("centrality", "0"),
+                                             ("bar", "-3")])
+    def test_max_order_must_be_positive(self, capsys, suite, value):
+        code, out, err = run(capsys, ["verify", "--suite", suite,
+                                      "--max-order", value])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--max-order" in err
 
     def test_unknown_suite_is_an_error(self, capsys):
         code, _, err = run(capsys, ["verify", "--suite", "astrology"])

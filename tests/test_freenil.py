@@ -8,8 +8,19 @@ from hopfgal.errors import (InternalCheckError, NotAbelianError,
                             ValidationError)
 from hopfgal.freenil import (FreeNilGroup, NilHom, _alg_comm, _alg_mul,
                              _alg_power, free_nil_group, witt_number)
+from hopfgal.groups import commutator_subgroup
 from hopfgal.matrices import IntMatrix
 from hopfgal import pcseq as pc
+
+
+def nilpotency_class(G):
+    """Steps down the lower central series of a finite group to 1."""
+    whole, term, steps = G.full_subgroup(), G.full_subgroup(), 0
+    while len(term) > 1:
+        nxt = commutator_subgroup(term, whole)
+        assert nxt != term, "not nilpotent"
+        term, steps = nxt, steps + 1
+    return steps
 
 
 def random_word(F, rng, spread=3, density=0.5):
@@ -27,8 +38,8 @@ class TestHallBasis:
         for d in (1, 2, 3):
             for c in (1, 2, 3, 4, 5):
                 F = FreeNilGroup(d, c)
-                assert F.weight_counts() == [witt_number(d, w)
-                                             for w in range(1, c + 1)]
+                assert [F.weights.count(w) for w in range(1, c + 1)] == \
+                    [witt_number(d, w) for w in range(1, c + 1)]
 
     def test_basis_prefix_under_truncation(self):
         F = FreeNilGroup(3, 4)
@@ -409,12 +420,12 @@ class TestMaterialization:
         xy = x.mul(y)
         G, _ = pc.materialize_quotient(
             F, pc.normal_closure(F, [x.pow(4), y.pow(2), xy.mul(xy)]))
-        assert G.order == 8 and G.nilpotency_class() == 2
+        assert G.order == 8 and nilpotency_class(G) == 2
         assert len(G.center()) == 2
         H, _ = pc.materialize_quotient(
             F, pc.normal_closure(F, [x.pow(4), x.pow(2).mul(y.pow(-2)),
                                      y.inverse().mul(x).mul(y).mul(x)]))
-        assert H.order == 8 and H.nilpotency_class() == 2
+        assert H.order == 8 and nilpotency_class(H) == 2
         # all involutions central distinguishes the quaternion group
         invol = [g for g in H.elements() if g and H.mul(g, g) == 0]
         assert len(invol) == 1

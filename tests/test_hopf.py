@@ -4,8 +4,10 @@ import math
 import pytest
 
 from hopfgal.abelian import FgAbelianGroup
+from hopfgal import checks
 from hopfgal.bar import BarConfig, homology
-from hopfgal.corpus import abelian, cyclic, klein4
+from hopfgal.corpus import (PRESENTED, TRIVIAL_PRESENTED, abelian, cyclic,
+                            klein4, named_group)
 from hopfgal.errors import SizeLimitError, ValidationError
 from hopfgal.freenil import FreeNilGroup, NilHom, free_nil_group
 from hopfgal.hopf import (
@@ -117,6 +119,52 @@ class TestPresentation:
             parse_presentation("gens: x\nrels: x^2")
         with pytest.raises(ValidationError):
             parse_presentation("gens: x\nrels: [x, x^2\nclass: 1")
+
+
+class TestPresentedCorpus:
+    @staticmethod
+    def spellings():
+        """(alias, canonical name) for every name of a presented group."""
+        for name, *_ in (TRIVIAL_PRESENTED,) + PRESENTED:
+            for alias in (name, name.lower(), name.upper()):
+                yield alias, name
+        for n in range(1, 17):
+            yield "C%d" % n, "Z%d" % n
+            yield "c%d" % n, "Z%d" % n
+        for alias in ("V4", "v4"):
+            yield alias, "Z2xZ2"
+        for alias in ("trivial", "Trivial"):
+            yield alias, "Z1"
+
+    def test_aliases_give_the_canonical_presentation(self):
+        for alias, name in self.spellings():
+            assert named_group(alias).table == named_group(name).table, alias
+            assert checks.presentation_for(alias).input_digest() == \
+                checks.presentation_for(name).input_digest(), alias
+
+    def test_table_matches_the_corpus(self):
+        for (name, pres, G), row in zip(checks.presented_nilpotent_corpus(),
+                                        PRESENTED):
+            assert (name, pres.names, pres.relators, pres.nclass) == \
+                (row[0], row[2], row[3], row[4])
+            assert G.table == named_group(name).table
+
+    def test_one_lookup_builds_one_presentation(self, monkeypatch):
+        built = []
+        real = checks.NilPresentation
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(checks, "NilPresentation", counting)
+        assert checks.presentation_for("Q8").rank == 2
+        assert len(built) == 1
+
+    def test_unpresented_name_has_no_presentation(self):
+        assert named_group("D3").order == 6
+        with pytest.raises(ValidationError, match="no presentation on file"):
+            checks.presentation_for("D3")
 
 
 class TestCubes:
@@ -282,10 +330,10 @@ class TestHigherDegree:
 
     def test_unstable_results_carry_no_value(self):
         r = HopfResult(None, None, None, 4, "UNSTABLE", {})
-        assert not r.is_conclusive
         assert r.to_json()["value"] is None
         stable = hopf_pi_n(pres_cyclic(2), n=2)
-        assert stable.is_conclusive
+        assert stable.stabilization == "STABLE"
+        assert stable.value is not None
 
 
 class TestResultShape:
@@ -294,7 +342,7 @@ class TestResultShape:
         blob = json.loads(json.dumps(r.to_json()))
         assert blob["stabilization"] == "NONE"
         assert blob["working_class"] == 2
-        assert FgAbelianGroup.from_json(blob["value"]) == r.value
+        assert FgAbelianGroup(**blob["value"]) == r.value
         assert blob["provenance"]["input"] == pres_v4().input_digest()
 
     def test_provenance_is_reproducible(self):

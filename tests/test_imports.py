@@ -1,4 +1,5 @@
-"""Every name imported into a hopfgal module is used by that module.
+"""Every name imported into a hopfgal module is used by that module, and
+every public function and class has a caller in src/.
 
 A standard-library stand-in for a linter's unused-import rule.  A name
 counts as used when the module's code or one of its doctests refers to
@@ -50,3 +51,62 @@ def test_no_unused_imports(path):
               for name, line in _imported(tree) if name not in used]
     assert not unused, "unused imports in %s: %s" % (path.name,
                                                      ", ".join(unused))
+
+
+# Public module-level names that nothing else in src/ refers to, each with
+# the reason it stays.
+UNCALLED_BY_DESIGN = {
+    "bar.unnormalized_homology":
+        "reference route: tests compare bar homology with it",
+    "cubes.is_double_extension":
+        "reference route: tests compare is_n_extension on squares with it",
+    "freenil.witt_number":
+        "reference route: tests count Hall basis letters with it",
+    "pcseq.derived_subgroup":
+        "reference route: tests compare derived_in with this closed form",
+    "galois.galois_groupoid": "ROADMAP item 2 runs it on Schur covers",
+    "galois.normal_radical_check": "ROADMAP item 2 runs it on Schur covers",
+    "pcseq.materialize_quotient": "ROADMAP item 2 builds Schur covers with it",
+}
+
+
+def _public_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                not node.name.startswith("_"):
+            yield node
+
+
+def _names_outside(tree, skip):
+    """Names read anywhere in `tree` except inside the node `skip`."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_public_names_have_a_caller_in_src():
+    """A public function or class that only tests call is dead weight.
+
+    Doctests do not count as callers, and neither does an import.
+    """
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in MODULES}
+    names = {stem: _names_outside(tree, None) for stem, tree in trees.items()}
+    uncalled = set()
+    for stem, tree in trees.items():
+        for node in _public_definitions(tree):
+            elsewhere = [names[other] for other in trees if other != stem]
+            elsewhere.append(_names_outside(tree, node))
+            if not any(node.name in used for used in elsewhere):
+                uncalled.add("%s.%s" % (stem, node.name))
+    assert uncalled - set(UNCALLED_BY_DESIGN) == set(), \
+        "public names with no caller in src/"
+    assert set(UNCALLED_BY_DESIGN) - uncalled == set(), \
+        "stale entries: these now have a caller in src/ or are gone"
