@@ -175,12 +175,6 @@ class FgAbelianGroup:
         stripped = [d // primes.part_of(d) for d in self.factors]
         return FgAbelianGroup.from_orders([0] * self.free_rank + stripped)
 
-    def exponent(self):
-        """Least common multiple of element orders; None if unbounded."""
-        if self.free_rank:
-            return None
-        return self.factors[-1] if self.factors else 1
-
     def to_json(self):
         return {"free_rank": self.free_rank, "factors": list(self.factors)}
 

@@ -126,11 +126,19 @@ def _factors_json(value):
 # ---- homology --------------------------------------------------------------
 
 def _load_homology_inputs(args, report):
-    """Resolve (presentation or None, group or None) from the flags."""
+    """Resolve (presentation or None, group or None) from the flags.
+
+    A named group is built only for the bar engine, and a product name
+    is held to the bar bound of the degree before its table is built.
+    """
     pres = group = None
+    bound = None
+    if args.method in ("bar", "both"):
+        bound = _bar_config().bound_for(args.degree)
     if args.named:
-        group = named_group(args.named)
         report.inputs["named"] = args.named
+        if bound is not None:
+            group = named_group(args.named, bound)
         if args.method in ("hopf", "both"):
             pres = presentation_for(args.named)
     if args.presentation:
@@ -138,7 +146,7 @@ def _load_homology_inputs(args, report):
         report.inputs["presentation"] = pres.input_digest()
     if args.group:
         obj = _read_json(args.group)
-        group = group_from_json(obj)
+        group = group_from_json(obj, bound)
         report.inputs["group"] = _digest(obj)
     if pres is None and group is None:
         raise ValidationError("need --named, --presentation or --group")

@@ -12,8 +12,9 @@ corpus cannot drift from the group operations.  The two standing corpora:
 from __future__ import annotations
 
 from functools import partial
+from math import prod
 
-from .errors import ValidationError
+from .errors import SizeLimitError, ValidationError
 from .groups import FiniteGroup, direct_product, from_permutations
 
 
@@ -156,10 +157,17 @@ def canonical_name(name):
     return _ALIASES.get(key, key)
 
 
-def named_group(name):
+def named_group(name, max_order=None):
     """Look up a corpus group by name or alias (case-insensitive).
 
-    Product names compose with 'x': 'Z2xZ6' builds the product.
+    Product names compose with 'x': 'Z2xZ6' builds the product, after
+    its order, read off the factors, is checked against `max_order`.
+
+    >>> named_group("Z2xZ2000", max_order=24)
+    Traceback (most recent call last):
+        ...
+    hopfgal.errors.SizeLimitError: order 4000 of 'Z2xZ2000' exceeds the \
+bound 24
     """
     key = canonical_name(name)
     if key in _NAMED:
@@ -167,7 +175,11 @@ def named_group(name):
     if "x" in key:
         parts = key.split("x")
         if all(p.startswith("z") and p[1:].isdigit() for p in parts):
-            return abelian([int(p[1:]) for p in parts])
+            orders = [int(p[1:]) for p in parts]
+            if max_order is not None and prod(orders) > max_order:
+                raise SizeLimitError("order %d of %r exceeds the bound %d"
+                                     % (prod(orders), name, max_order))
+            return abelian(orders)
     raise ValidationError("unknown group name: %r" % (name,))
 
 
@@ -199,18 +211,19 @@ def _integer_rows(obj, key):
     return rows
 
 
-def group_from_json(obj):
+def group_from_json(obj, max_order=None):
     """Accepts a name, a multiplication table, or permutation generators.
 
     Anything else, including JSON that is not an object, is a
-    ValidationError.
+    ValidationError.  A name is looked up under `max_order`, as in
+    named_group.
     """
     if not isinstance(obj, dict):
         raise ValidationError("a group description must be a JSON object")
     if "name" in obj:
         if not isinstance(obj["name"], str):
             raise ValidationError("'name' must be a string")
-        return named_group(obj["name"])
+        return named_group(obj["name"], max_order)
     if "table" in obj:
         G = FiniteGroup(_integer_rows(obj, "table"))
         order = obj.get("order", G.order)

@@ -80,10 +80,8 @@ class FreeNilGroup:
     >>> F = FreeNilGroup(2, 2)
     >>> len(F.letters)
     3
-    >>> FreeNilGroup(2, 3).basis_size()
+    >>> len(FreeNilGroup(2, 3).letters)
     5
-    >>> FreeNilGroup(1, 5).basis_size()
-    1
     """
 
     def __init__(self, rank, nclass, max_basis=MAX_BASIS):
@@ -119,9 +117,6 @@ class FreeNilGroup:
         self._magnus_letters = None
         self._solvers = {}
 
-    def basis_size(self):
-        return len(self.letters)
-
     def identity(self):
         return self._identity
 
@@ -150,18 +145,37 @@ class FreeNilGroup:
         >>> xy = F.multiply(x1, x2)
         >>> F.multiply(xy, xy).exps   # (x1 x2)^2 = x1^2 x2^2 c
         (2, 2, 1)
+
+        When the leading weights of u and v add up past the class, every
+        letter of u commutes with every letter of v (their commutators
+        have weight above the class), so the product is the coordinate
+        sum and needs no collection.
         """
         if u.parent is not self or v.parent is not self:
             raise ValidationError("words from a different group")
+        head, tail = u.syllables(), v.syllables()
+        if not head or not tail:
+            return v if not head else u
+        if self.weights[head[0][0]] + self.weights[tail[0][0]] > self.nclass:
+            if len(head) < len(tail):
+                u, tail = v, head
+            out = list(u.exps)
+            for l, e in tail:
+                out[l] += e
+            return NilWord(self, tuple(out))
         out = list(u.exps)
-        head = u.syllables()
-        self._collect(out, head[-1][0] if head else -1,
-                      list(reversed(v.syllables())))
+        self._collect(out, head[-1][0], list(reversed(tail)))
         return NilWord(self, tuple(out))
 
     def inverse(self, u):
+        """u^-1; a word whose letters commute pairwise is negated."""
+        sylls = u.syllables()
         out = [0] * len(self.letters)
-        self._collect(out, -1, [(l, -e) for l, e in u.syllables()])
+        if not sylls or 2 * self.weights[sylls[0][0]] > self.nclass:
+            for l, e in sylls:
+                out[l] = -e
+        else:
+            self._collect(out, -1, [(l, -e) for l, e in sylls])
         return NilWord(self, tuple(out))
 
     def _collect(self, out, top, stack):
@@ -363,14 +377,11 @@ class FreeNilGroup:
             raise ValidationError("cannot truncate class 1")
         return free_nil_group(self.rank, self.nclass - 1)
 
-    def truncate_word(self, u):
-        low = self.truncated()
-        return NilWord(low, u.exps[:len(low.letters)])
-
     def lift_word(self, u):
         """Zero-pad a word of the truncation back into this group.
 
-        A section of truncate_word, not a homomorphism.
+        A section of dropping the top-weight coordinates, not a
+        homomorphism.
         """
         low = self.truncated()
         if u.parent is not low:
@@ -436,14 +447,23 @@ class NilWord:
         return self.parent.inverse(self)
 
     def pow(self, n):
+        """self^n; a word whose letters commute pairwise is scaled."""
+        F = self.parent
+        sylls = self.syllables()
+        if not sylls or 2 * F.weights[sylls[0][0]] > F.nclass:
+            out = [0] * len(self.exps)
+            for l, e in sylls:
+                out[l] = n * e
+            return NilWord(F, tuple(out))
         base = self if n >= 0 else self.inverse()
         n = abs(n)
-        out = self.parent.identity()
+        out = F.identity()
         while n:
             if n & 1:
                 out = out.mul(base)
-            base = base.mul(base)
             n >>= 1
+            if n:
+                base = base.mul(base)
         return out
 
     def conj(self, by):

@@ -28,7 +28,7 @@ from .freenil import NilHom, free_nil_group
 from .matrices import IntMatrix
 from .pcseq import (abelian_quotient, commutator_subgroup, induced_sequence,
                     intersect, intersect_with_kernel, letter_span,
-                    normal_closure, whole_group)
+                    normal_closure, shadow)
 
 DEFAULT_MAX_CLASS = 4
 DEFAULT_RANK_CAP = 8
@@ -289,7 +289,10 @@ def build_presentation_cube(pres, n, k=None, rank_cap=DEFAULT_RANK_CAP):
     a fresh free nilpotent group (one generator per diagonal generator
     pair plus one per relator, since conjugates of the pairs (1, r)
     already normally generate the off-diagonal part), and both
-    projection kernels are returned.
+    projection kernels are returned.  The first kernel is the normal
+    closure of the relator generators x_d, ..., a span of letters; the
+    second is the normal closure of the twisted relator generators
+    x_{d+l} r_l^-1.
     """
     if n not in (1, 2):
         raise ValidationError("only 1- and 2-fold cubes are supported")
@@ -324,13 +327,12 @@ def build_presentation_cube(pres, n, k=None, rank_cap=DEFAULT_RANK_CAP):
 
     # the second projection is the first one twisted by the automorphism
     # fixing the diagonal generators and dividing each relator generator
-    # by the lifted relator word, so its kernel is the image of K0
+    # by the lifted relator word, so its kernel is the normal closure of
+    # the twisted relator generators
     section = NilHom(F, Q, [Q.generator(i) for i in range(d)])
-    images = [Q.generator(i) for i in range(d)]
-    images += [Q.generator(d + l).mul(section.apply(rels[l]).inverse())
-               for l in range(t)]
-    twist = NilHom(Q, Q, images)
-    K1 = induced_sequence(Q, [twist.apply(m) for m in K0.seq])
+    K1 = normal_closure(Q, [
+        Q.generator(d + l).mul(section.apply(rels[l]).inverse())
+        for l in range(t)])
 
     return PresentationCube(2, Q, [K0, K1], {
         "construction": "pullback-cover", "working_class": k,
@@ -343,18 +345,6 @@ def build_presentation_cube(pres, n, k=None, rank_cap=DEFAULT_RANK_CAP):
 def _subgroup_info(S):
     return {"generators": len(S.seq),
             "leading_weights": S.leading_weights()}
-
-
-def _shadow(S, low):
-    """Image of a subgroup in a lower-class truncation of its parent.
-
-    Basis letters of the lower truncation are a prefix of the higher
-    one's, so words shadow down by coordinate prefix.
-    """
-    if S.parent is low:
-        return S
-    head = len(low.letters)
-    return induced_sequence(low, [low.word(m.exps[:head]) for m in S.seq])
 
 
 def evaluate_cube(cube, primes=None, k=None):
@@ -376,15 +366,18 @@ def evaluate_cube(cube, primes=None, k=None):
     for other in cube.kernels[1:]:
         K = intersect(K, other)
     N = intersect_with_kernel(K, IntMatrix.identity(Q.rank))
-    D = commutator_subgroup(Q, whole_group(Q), K)
+    gens = [Q.generator(i) for i in range(Q.rank)]
+    D = commutator_subgroup(Q, gens, K)
     if cube.n == 2:
-        cross = commutator_subgroup(Q, cube.kernels[0], cube.kernels[1])
-        D = induced_sequence(Q, list(D.seq) + list(cross.seq))
+        # the first kernel is the normal closure of the relator generators
+        cross = commutator_subgroup(
+            Q, gens[cube.provenance["diagonal_rank"]:], cube.kernels[1])
+        D = normal_closure(Q, list(D.seq) + list(cross.seq))
     low = free_nil_group(Q.rank, Q.nclass if k is None else k)
-    N = _shadow(N, low)
-    D = _shadow(D, low)
+    N = shadow(N, low)
+    D = shadow(D, low)
     if primes is not None and primes.primes:
-        D = _torsion_closure_in(_shadow(K, low), D, primes)
+        D = _torsion_closure_in(shadow(K, low), D, primes)
     value = abelian_quotient(N, D)
     return value, _subgroup_info(N), _subgroup_info(D)
 

@@ -10,6 +10,15 @@ Weight bookkeeping does the pruning: a member with leading letter of
 weight w lies in the w-th term of the lower central series, so any
 commutator whose leading weights sum past the class is trivial and can
 be skipped without computing it.
+
+Two routes close a generating set into a sequence.  induced_sequence
+takes any generating set and commutes all member pairs.  normal_closure,
+which the Hopf engine uses for every subgroup it knows to be normal,
+fills one weight layer at a time and only ever commutes members with
+the ambient generators; its docstring proves the result full, and
+commutator_subgroup's proves the reduction of [N, T] to it.  Both end
+in the same canonical box-reduced form, so on a normal subgroup they
+agree member for member.
 """
 
 from __future__ import annotations
@@ -104,6 +113,9 @@ def _canonicalize(F, members):
 def induced_sequence(F, words):
     """The subgroup generated by `words`, as a full triangular sequence.
 
+    The route for subgroups that need not be normal: every pair of
+    members is commuted until nothing new reduces.
+
     >>> from .freenil import FreeNilGroup
     >>> F = FreeNilGroup(2, 2)
     >>> S = induced_sequence(F, [F.generator(0), F.generator(1)])
@@ -166,12 +178,6 @@ def trivial_subgroup(F):
     return PcSubgroup(F, (), _checked=True)
 
 
-def whole_group(F):
-    """The ambient group as a sequence: every letter with exponent one."""
-    return PcSubgroup(F, tuple(F.word(_unit(len(F.letters), i))
-                               for i in range(len(F.letters))), _checked=True)
-
-
 def letter_span(F, indices):
     """Subgroup generated by a coordinate-closed set of letters.
 
@@ -201,6 +207,29 @@ def _unit(n, i):
     return e
 
 
+def shadow(S, low):
+    """Image of S in `low`, a truncation of its ambient to a lower class.
+
+    Basis letters of the truncation are a prefix of the ambient's, and
+    dropping the heavier coordinates is the quotient map, so members
+    shadow down by coordinate prefix.  The images of the members that
+    lead below the cut keep their leading letters, exponents and box
+    reduction, and every image element is the image of an ordered
+    product of members; the members that lead above the cut map to the
+    identity.  So the surviving images are the canonical full sequence
+    of the image, with no closure work.
+    """
+    F = S.parent
+    if low is F:
+        return S
+    if low.rank != F.rank or low.nclass > F.nclass:
+        raise ValidationError("not a truncation of the ambient group")
+    head = len(low.letters)
+    images = (low.word(m.exps[:head]) for m in S.seq)
+    return PcSubgroup(low, [m for m in images if not m.is_identity()],
+                      _checked=True)
+
+
 def _conjugation_closure(F, base, conjugators):
     """Close the subgroup `base` under conjugation by the given words."""
     current = base
@@ -221,8 +250,57 @@ def _conjugation_closure(F, base, conjugators):
         current = induced_sequence(F, list(current.seq) + fresh)
 
 
+def _box(layer, lead):
+    """Box-reduce a layer after its member at `lead` changed.
+
+    The new member is reduced against the later leads.  Then each earlier
+    member whose coordinate at `lead` is outside [0, e), for e the new
+    leading exponent, is reduced against the new member and the later
+    leads.  Weight-w coordinates add modulo the next lower central term,
+    so these reductions touch no coordinate to the left of the lead
+    divided by, and the whole layer ends box-reduced.
+    """
+    leads = sorted(layer)
+    p = leads.index(lead)
+    new = layer[lead] = reduce_against(
+        layer[lead], [layer[l] for l in leads[p + 1:]])[1]
+    e = new.exps[lead]
+    tail = [layer[l] for l in leads[p:]]
+    for l in leads[:p]:
+        if not 0 <= layer[l].exps[lead] < e:
+            layer[l] = reduce_against(layer[l], tail)[1]
+
+
 def normal_closure(F, words):
-    """Normal closure, by iterated conjugation with the ambient generators.
+    """The normal closure of `words`, built one weight layer at a time.
+
+    Layer w holds the members whose leading letter has weight w.  Every
+    word waits on the layer of its leading weight, and layers are filled
+    lightest first, each from its sparsest waiting word up.  A word
+    entering layer w takes Euclid steps on its leading letter against the
+    member there; whenever a member changes, the layer is box-reduced
+    again, so no coordinate inside the layer grows.  A remainder that
+    leads deeper moves on to its own layer.  Once layer w is final,
+    [m, x_i] for each member m and each ambient generator x_i is sent on
+    (it lies in gamma_{w+1}).  Nothing ever moves back to a lighter
+    layer, so one pass over the layers is the whole computation.
+
+    Why the result is the normal closure, as a full sequence.  Let M_w
+    be the group generated by the members of layers w and deeper.  Every
+    member lies in the closure N, being built from the words, their
+    conjugates and Euclid combinations of those.  Going down from the
+    class: M_{w+1} is normal, and for a member m of layer w the pushed
+    [m, x_i] lies in M_{w+1}, so m^{x_i} = m [m, x_i] lies in M_w; a
+    subgroup of a finitely generated nilpotent group mapped into itself
+    by conjugation with every generator is normal (ascending chain
+    condition), so M_w is normal.  Each word was inserted, and Euclid
+    steps keep the generated subgroup, so M_1 contains the words and
+    equals N.  Further [m, g] lies in M_{w+1} for every g, so M_w/M_{w+1}
+    is abelian and generated by the layer's members; their weight-w
+    coordinate vectors have distinct leading letters, so layer w embeds
+    in gamma_w/gamma_{w+1}, M_w meets gamma_{w+1} in M_{w+1}, and every
+    element of M_w is an ordered product of powers of the layer's
+    members times an element of M_{w+1}.  That is fullness.
 
     >>> from .freenil import FreeNilGroup
     >>> F = FreeNilGroup(2, 2)
@@ -231,8 +309,53 @@ def normal_closure(F, words):
     >>> [m.leading() for m in R.seq]
     [(0, 2), (1, 2), (2, 2)]
     """
+    weights = F.weights
+    pending = [[] for _ in range(F.nclass + 1)]
+
+    def push(g):
+        lead = g.leading()
+        if lead is not None:
+            pending[weights[lead[0]]].append(g)
+
+    for g in words:
+        if g.parent is not F:
+            raise ValidationError("generator from a different ambient group")
+        push(g)
     gens = [F.generator(i) for i in range(F.rank)]
-    return _conjugation_closure(F, induced_sequence(F, words), gens)
+    members = {}
+    for w in range(1, F.nclass + 1):
+        layer = {}
+        # sparse words first: they make sparse members, which keep the
+        # Euclid steps of the dense words that follow short
+        for g in sorted(pending[w], key=lambda g: len(g.syllables())):
+            while True:
+                lead = g.leading()
+                if lead is None:
+                    break
+                l, e = lead
+                if weights[l] != w:
+                    push(g)
+                    break
+                m = layer.get(l)
+                if m is None:
+                    layer[l] = g if e > 0 else g.inverse()
+                    _box(layer, l)
+                    break
+                # floor division leaves the lead in [0, em), sign or not
+                q = e // m.exps[l]
+                if q:
+                    g = m.pow(-q).mul(g)
+                if g.exps[l]:
+                    # smaller positive lead at the same letter: swap roles
+                    layer[l] = g
+                    _box(layer, l)
+                    g = m
+        if w < F.nclass:
+            for m in layer.values():
+                for x in gens:
+                    push(m.comm(x))
+        members.update(layer)
+    return PcSubgroup(F, _canonicalize(F, members), _checked=True)
 
 
 def derived_in(S):
@@ -249,17 +372,23 @@ def derived_in(S):
     return _conjugation_closure(F, induced_sequence(F, comms), list(S.seq))
 
 
-def commutator_subgroup(F, S, T):
-    """Normal closure of {[s, t]} over the two member sequences.
+def commutator_subgroup(F, gens, T):
+    """[N, T] for N the normal closure of `gens` and T normal in F.
 
-    Equals the commutator subgroup [S, T] whenever S and T are normal in
-    the ambient group, which holds everywhere this engine uses it.
+    It is the normal closure of the [g, t] over g in `gens` and t in
+    T.seq (Robinson, A Course in the Theory of Groups, 5.1.7).  [N, T] is
+    normal and contains each [g, t].  Conversely, with [a, b] =
+    a^-1 b^-1 a b, the identities [g, ab] = [g, b] [g, a]^b and
+    [g, a^-1] = ([g, a]^(a^-1))^-1 put [g, t] in the closure C for every
+    t in T; then [g^y, t] = [g, t^(y^-1)]^y, with t^(y^-1) in T because T
+    is normal, puts [g^y, t] in C; and [ab, t] = [a, t]^b [b, t] extends
+    that to all of N, which the conjugates g^y generate.
 
     >>> from .freenil import FreeNilGroup
     >>> F = FreeNilGroup(2, 2)
     >>> x1, x2 = F.generator(0), F.generator(1)
     >>> R = normal_closure(F, [x1.pow(2), x2.pow(2), F.word((0, 0, 1))])
-    >>> RF = commutator_subgroup(F, R, whole_group(F))
+    >>> RF = commutator_subgroup(F, [x1, x2], R)
     >>> RF.contains(F.word((0, 0, 2)))   # [x1^2, x2] = c^2 in class 2
     True
     >>> RF.contains(F.word((0, 0, 1)))
@@ -267,12 +396,12 @@ def commutator_subgroup(F, S, T):
     """
     weights = F.weights
     comms = []
-    for s in S.seq:
-        ws = weights[s.leading()[0]]
+    for g in gens:
+        wg = weights[g.leading()[0]]
         for t in T.seq:
-            if ws + weights[t.leading()[0]] > F.nclass:
+            if wg + weights[t.leading()[0]] > F.nclass:
                 continue
-            comms.append(s.comm(t))
+            comms.append(g.comm(t))
     return normal_closure(F, comms)
 
 
@@ -335,12 +464,7 @@ def intersect(S, T):
     s_low, s_lat = split(S)
     t_low, t_lat = split(T)
     low_group = F.truncated()
-
-    def project(ms):
-        return PcSubgroup(low_group, [F.truncate_word(m) for m in ms],
-                          _checked=True)
-
-    V = intersect(project(s_low), project(t_low))
+    V = intersect(shadow(S, low_group), shadow(T, low_group))
 
     def central_defect(word):
         # word lies over a common truncation; after dividing off the

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hopfgal import __version__
+from hopfgal import __version__, corpus
 from hopfgal.cli import main
 from hopfgal.corpus import named_group, quaternion8
 from hopfgal.groups import surjections_up_to_precomposition
@@ -131,6 +131,17 @@ class TestHomologyCommand:
         assert code == 2
         assert "need --named" in err
 
+    def test_product_name_is_bounded_before_it_is_built(self, capsys,
+                                                         monkeypatch):
+        def refuse(n):
+            raise AssertionError("built the cyclic group of order %d" % n)
+
+        monkeypatch.setattr(corpus, "cyclic", refuse)
+        code, out, err = run(capsys, ["homology", "--named", "Z2xZ2000",
+                                      "--method", "bar"])
+        assert code == 2 and out == ""
+        assert err == "error: order 4000 of 'Z2xZ2000' exceeds the bound 24\n"
+
     def test_unknown_name_is_an_error(self, capsys):
         code, _, err = run(capsys, ["homology", "--named", "monster"])
         assert code == 2
@@ -254,19 +265,27 @@ MALFORMED = [
     pytest.param("homology", "--presentation",
                  b"gens: x\nrels: x^2\nclass: 1\nclass: 2\n",
                  id="presentation-label-repeated"),
+    pytest.param("homology", "--named", "Z2xZ2000",
+                 id="named-product-above-the-bar-bound"),
+    pytest.param("homology", "--group", b'{"name": "Z2xZ2000"}',
+                 id="group-name-above-the-bar-bound"),
 ]
 
 
 @pytest.mark.parametrize("command,flag,content", MALFORMED)
 def test_malformed_input_exits_two(capsys, tmp_path, command, flag, content):
-    path = tmp_path / "input"
-    path.write_bytes(content)
-    # the engine that reads the file, so that only the bad input can
+    # bytes are written to a file and the flag names it; a string is the
+    # flag's value itself
+    value = content
+    if isinstance(content, bytes):
+        value = tmp_path / "input"
+        value.write_bytes(content)
+    # the engine that reads the input, so that only the bad input can
     # account for exit 2
-    method = "bar" if flag == "--group" else "hopf"
+    method = "hopf" if flag == "--presentation" else "bar"
     argv = ([command, "--method", method] if command == "homology"
             else [command, "is-normal"])
-    code, out, err = run(capsys, argv + [flag, str(path)])
+    code, out, err = run(capsys, argv + [flag, str(value)])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -23,16 +23,20 @@ def nilpotency_class(G):
     return steps
 
 
+def whole_group(F):
+    return pc.letter_span(F, range(len(F.letters)))
+
+
 def random_word(F, rng, spread=3, density=0.5):
     return F.word([rng.randint(-spread, spread) if rng.random() < density
-                   else 0 for _ in range(F.basis_size())])
+                   else 0 for _ in range(len(F.letters))])
 
 
 class TestHallBasis:
     def test_known_sizes(self):
-        assert FreeNilGroup(2, 2).basis_size() == 3
-        assert FreeNilGroup(1, 5).basis_size() == 1
-        assert FreeNilGroup(2, 3).basis_size() == 5
+        assert len(FreeNilGroup(2, 2).letters) == 3
+        assert len(FreeNilGroup(1, 5).letters) == 1
+        assert len(FreeNilGroup(2, 3).letters) == 5
 
     def test_witt_numbers(self):
         for d in (1, 2, 3):
@@ -103,8 +107,10 @@ class TestCollection:
             F = FreeNilGroup(rng.randint(1, 3), rng.randint(2, 5))
             u, v = random_word(F, rng), random_word(F, rng)
             low = F.truncated()
-            assert low.multiply(F.truncate_word(u), F.truncate_word(v)) \
-                == F.truncate_word(F.multiply(u, v))
+            head = len(low.letters)
+            assert low.multiply(low.word(u.exps[:head]),
+                                low.word(v.exps[:head])) \
+                == low.word(F.multiply(u, v).exps[:head])
 
     def test_cross_group_rejected(self):
         F, G = FreeNilGroup(2, 2), FreeNilGroup(2, 3)
@@ -119,6 +125,30 @@ class TestCollection:
             u = random_word(F, rng, spread=9, density=0.2)
             v = random_word(F, rng, spread=9, density=0.2)
             assert F.multiply(u, v) == F.multiply_via_model(u, v)
+
+    @pytest.mark.parametrize("rank,nclass", [(2, 5), (3, 4), (5, 4)])
+    def test_commuting_words_match_algebra_model(self, rank, nclass):
+        # words leading at weights that add up past the class take the
+        # coordinate-sum route in multiply and the negation in inverse;
+        # weights that add up to the class exactly still collect
+        rng = random.Random(417 + rank)
+        F = free_nil_group(rank, nclass)
+        w = F.weights
+
+        def word_from(weight):
+            return F.word([rng.randint(-9, 9) if w[i] >= weight and
+                           rng.random() < 0.4 else 0
+                           for i in range(len(F.letters))])
+
+        for _ in range(10):
+            a = rng.randint(1, nclass - 1)
+            for b in (nclass - a, nclass + 1 - a):
+                u, v = word_from(a), word_from(b)
+                assert F.multiply(u, v) == F.multiply_via_model(u, v)
+                assert F.multiply(v, u) == F.multiply_via_model(v, u)
+            x = word_from(nclass // 2 + 1)
+            assert x.inverse() == F.extract(
+                _alg_power(F.magnus_image(x), -1, nclass))
 
     def test_syllables_are_an_immutable_cache(self):
         F = FreeNilGroup(2, 3)
@@ -142,7 +172,7 @@ class TestHallPolynomials:
         rng = random.Random(414 + rank)
         F = free_nil_group(rank, nclass)
         w = F.weights
-        pairs = [(t, l) for t in range(F.basis_size()) for l in range(t)
+        pairs = [(t, l) for t in range(len(F.letters)) for l in range(t)
                  if w[t] + w[l] <= nclass]
         exponents = (-50, -7, 13, 49)
         for t, l in [(1, 0)] + rng.sample(pairs, 5):
@@ -205,7 +235,7 @@ class TestInducedSequences:
     def test_generators_give_whole_group(self):
         F = FreeNilGroup(2, 2)
         S = pc.induced_sequence(F, [F.generator(0), F.generator(1)])
-        assert S == pc.whole_group(F)
+        assert S == whole_group(F)
 
     def test_squares_example(self):
         F = FreeNilGroup(2, 2)
@@ -292,13 +322,46 @@ class TestClosuresAndCommutators:
                     assert R.contains(m.conj(F.generator(i)))
                     assert R.contains(m.conj(F.generator(i).inverse()))
 
+    @pytest.mark.parametrize("rank,nclass", [(2, 4), (3, 3), (3, 4), (4, 3)])
+    def test_normal_closure_matches_conjugation_route(self, rank, nclass):
+        rng = random.Random(415 + 10 * rank + nclass)
+        F = free_nil_group(rank, nclass)
+        gens = [F.generator(i) for i in range(rank)]
+        for _ in range(3):
+            words = [random_word(F, rng, spread=2, density=0.3)
+                     for _ in range(rng.randint(1, 3))]
+            want = pc._conjugation_closure(
+                F, pc.induced_sequence(F, words), gens)
+            assert pc.normal_closure(F, words) == want
+
+    def test_normal_closure_is_normal_and_full(self):
+        # at (2, 5) the conjugation route can take more than 20 s, so the
+        # defining properties are checked instead
+        rng = random.Random(416)
+        F = free_nil_group(2, 5)
+        gens = [F.generator(i) for i in range(F.rank)]
+        w = F.weights
+        for _ in range(3):
+            words = [random_word(F, rng, spread=2, density=0.3)
+                     for _ in range(2)]
+            R = pc.normal_closure(F, words)
+            assert all(R.contains(g) for g in words)
+            for m in R.seq:
+                for x in gens:
+                    assert R.contains(m.conj(x))
+                    assert R.contains(m.conj(x.inverse()))
+            for i, a in enumerate(R.seq):
+                for b in R.seq[i + 1:]:
+                    if w[a.leading()[0]] + w[b.leading()[0]] <= F.nclass:
+                        assert R.remainder(a.comm(b)).is_identity()
+
     def test_relator_commutator_contains_squared_letter(self):
         # with R = ncl{x^2, y^2, [x,y]} the identity [x^2, y] = [x,y]^2
         # puts the square of the commutator letter inside [R, F]
         F = FreeNilGroup(2, 2)
         x, y = F.generator(0), F.generator(1)
         R = pc.normal_closure(F, [x.pow(2), y.pow(2), x.comm(y)])
-        D = pc.commutator_subgroup(F, R, pc.whole_group(F))
+        D = pc.commutator_subgroup(F, [x, y], R)
         assert D.contains(F.word((0, 0, 2)))
         assert not D.contains(F.word((0, 0, 1)))
 
@@ -309,7 +372,7 @@ class TestClosuresAndCommutators:
 
     def test_derived_in_matches_whole_group_derived(self):
         F = FreeNilGroup(2, 3)
-        assert pc.derived_in(pc.whole_group(F)) == pc.derived_subgroup(F)
+        assert pc.derived_in(whole_group(F)) == pc.derived_subgroup(F)
 
 
 class TestIntersection:
@@ -344,7 +407,7 @@ class TestIntersection:
         F = FreeNilGroup(2, 3)
         S = pc.induced_sequence(F, [random_word(F, rng, spread=2)
                                     for _ in range(2)])
-        assert pc.intersect(S, pc.whole_group(F)) == S
+        assert pc.intersect(S, whole_group(F)) == S
 
     def test_trivial_cases(self):
         F = FreeNilGroup(2, 2)
@@ -381,14 +444,14 @@ class TestAbelianQuotient:
 
     def test_not_normal_rejected(self):
         F = FreeNilGroup(2, 2)
-        whole = pc.whole_group(F)
+        whole = whole_group(F)
         d = pc.induced_sequence(F, [F.generator(0).pow(2)])
         with pytest.raises(NotNormalError):
             pc.abelian_quotient(whole, d)
 
     def test_not_abelian_rejected(self):
         F = FreeNilGroup(2, 2)
-        whole = pc.whole_group(F)
+        whole = whole_group(F)
         d = pc.induced_sequence(F, [F.word((0, 0, 2))])
         with pytest.raises(NotAbelianError):
             pc.abelian_quotient(whole, d)
@@ -400,7 +463,7 @@ class TestAbelianQuotient:
         x, y = F.generator(0), F.generator(1)
         R = pc.normal_closure(F, [x.pow(2), y.pow(2), x.comm(y)])
         N = pc.intersect_with_kernel(R, IntMatrix.identity(2))
-        D = pc.commutator_subgroup(F, R, pc.whole_group(F))
+        D = pc.commutator_subgroup(F, [x, y], R)
         q = pc.abelian_quotient(N, D)
         assert q.factors == (2,) and q.free_rank == 0
 

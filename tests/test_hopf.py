@@ -190,6 +190,26 @@ class TestCubes:
         for m in cube.kernels[1].seq:
             assert p1.apply(m).is_identity()
 
+    @pytest.mark.parametrize("name", ["V4", "Z2xZ4", "Z3xZ3"])
+    def test_twisted_kernel_exponents_stay_small(self, monkeypatch, name):
+        # box reduction inside each layer of the normal closure, with the
+        # sparsest pending words first, keeps every word small; Euclid
+        # steps on the leading letter alone, words taken as they come,
+        # take V4's words past 16,000 bits
+        peak = [0]
+        multiply = FreeNilGroup.multiply
+
+        def watched(F, u, v):
+            out = multiply(F, u, v)
+            peak[0] = max(peak[0], max(map(abs, out.exps)).bit_length())
+            return out
+
+        monkeypatch.setattr(FreeNilGroup, "multiply", watched)
+        cube = build_presentation_cube(checks.presentation_for(name), 2, 4)
+        K1 = cube.kernels[1]
+        assert max(abs(e) for m in K1.seq for e in m.exps).bit_length() <= 8
+        assert peak[0] <= 8
+
     def test_cover_rank_is_diagonal_plus_relators(self):
         cube = build_presentation_cube(pres_v4(), 2, 3)
         assert cube.ambient.rank == 5
