@@ -13,6 +13,8 @@ identity dropped.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .abelian import FgAbelianGroup
 from .errors import SizeLimitError, ValidationError
 from .matrices import IntMatrix, snf_diagonal
@@ -55,23 +57,8 @@ class BarChainBasis:
         self.degree = degree
         self.size = (group.order - 1) ** degree
 
-    def index_of(self, tup):
-        # lexicographic rank; element indices are 1..order-1
-        idx = 0
-        base = self.group.order - 1
-        for g in tup:
-            idx = idx * base + (g - 1)
-        return idx
-
     def __iter__(self):
-        base = self.group.order - 1
-        for idx in range(self.size):
-            tup = []
-            rem = idx
-            for _ in range(self.degree):
-                rem, d = divmod(rem, base)
-                tup.append(d + 1)
-            yield tuple(reversed(tup))
+        return product(range(1, self.group.order), repeat=self.degree)
 
 
 _MAX_BASIS = 500_000
@@ -95,24 +82,28 @@ def bar_boundary(G, n, max_basis=_MAX_BASIS):
     if src.size > max_basis:
         raise SizeLimitError("bar basis of size %d exceeds bound %d"
                              % (src.size, max_basis))
-    triplets = []
-    mul = G.mul
+    # tuple i has the digits t_0 - 1, ..., t_{n-1} - 1 in base
+    # b = |G| - 1, so a face's column is i % b^(n-1) without t_0, i // b
+    # without t_{n-1}, and (i // b^(n-k+1) * b + m - 1) * b^(n-k-1)
+    # + i % b^(n-k-1) with t_{k-1}, t_k merged into m
+    table = G.table
+    b = G.order - 1
+    head = b ** (n - 1)
+    last = (-1) ** n
+    merges = [(k, b ** (n - k + 1), b ** (n - k - 1), (-1) ** k)
+              for k in range(1, n)]
+    nz = []
     for i, tup in enumerate(src):
-        acc = {}
-        faces = [(tup[1:], 1)]
-        sign = -1
-        for k in range(1, n):
-            merged = mul(tup[k - 1], tup[k])
-            if merged != 0:
-                faces.append((tup[:k - 1] + (merged,) + tup[k + 1:], sign))
-            sign = -sign
-        faces.append((tup[:-1], sign))
-        for face, s in faces:
-            acc[face] = acc.get(face, 0) + s
-        for face, s in acc.items():
-            if s:
-                triplets.append((i, dst.index_of(face), s))
-    return IntMatrix.from_triplets(src.size, dst.size, triplets)
+        acc = {i % head: 1}
+        j = i // b
+        acc[j] = acc.get(j, 0) + last
+        for k, high, low, sign in merges:
+            m = table[tup[k - 1]][tup[k]]
+            if m:
+                j = (i // high * b + m - 1) * low + i % low
+                acc[j] = acc.get(j, 0) + sign
+        nz.append(tuple(sorted((j, v) for j, v in acc.items() if v)))
+    return IntMatrix.from_sparse_rows(src.size, dst.size, nz)
 
 
 def homology(G, n, config=DEFAULT_CONFIG):

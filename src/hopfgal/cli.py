@@ -24,7 +24,7 @@ from .corpus import group_from_json, is_integer, named_group
 from .errors import SizeLimitError, ValidationError
 from .galois import (GaloisContext, centralize, characterisation_normal,
                      galois_group, is_normal_ext, is_trivial_ext)
-from .groups import GroupHom
+from .groups import MAX_ORDER, GroupHom
 from .hopf import hopf_pi_n, parse_presentation
 from .matrices import IntMatrix
 
@@ -128,9 +128,13 @@ def _factors_json(value):
 def _load_homology_inputs(args, report):
     """Resolve (presentation or None, group or None) from the flags.
 
-    A named group is built only for the bar engine, and a product name
-    is held to the bar bound of the degree before its table is built.
+    A group, named or read from a file, is built only for the bar engine,
+    and a product name is held to the bar bound of the degree before its
+    table is built.  The Hopf engine reads no group: under `--method
+    hopf` a `--group` file is only read and digested.
     """
+    if not (args.named or args.presentation or args.group):
+        raise ValidationError("need --named, --presentation or --group")
     pres = group = None
     bound = None
     if args.method in ("bar", "both"):
@@ -146,10 +150,9 @@ def _load_homology_inputs(args, report):
         report.inputs["presentation"] = pres.input_digest()
     if args.group:
         obj = _read_json(args.group)
-        group = group_from_json(obj, bound)
         report.inputs["group"] = _digest(obj)
-    if pres is None and group is None:
-        raise ValidationError("need --named, --presentation or --group")
+        if bound is not None:
+            group = group_from_json(obj, bound)
     return pres, group
 
 
@@ -209,6 +212,8 @@ def cmd_homology(args, argv):
 # ---- galois ----------------------------------------------------------------
 
 def _hom_from_file(path):
+    """The hom of a `--hom` file; a domain or codomain given by name is
+    held to `groups.MAX_ORDER` before its table is built."""
     obj = _read_json(path)
     if not isinstance(obj, dict):
         raise ValidationError("hom file must hold a JSON object")
@@ -218,8 +223,8 @@ def _hom_from_file(path):
     mapping = obj["mapping"]
     if not (isinstance(mapping, list) and all(map(is_integer, mapping))):
         raise ValidationError("'mapping' must be a list of integers")
-    dom = group_from_json(obj["domain"])
-    cod = group_from_json(obj["codomain"])
+    dom = group_from_json(obj["domain"], MAX_ORDER)
+    cod = group_from_json(obj["codomain"], MAX_ORDER)
     return GroupHom(dom, cod, mapping), obj
 
 

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from hopfgal import __version__, corpus
+from hopfgal import __version__, cli, corpus
 from hopfgal.cli import main
 from hopfgal.corpus import named_group, quaternion8
 from hopfgal.groups import surjections_up_to_precomposition
@@ -142,6 +143,23 @@ class TestHomologyCommand:
         assert code == 2 and out == ""
         assert err == "error: order 4000 of 'Z2xZ2000' exceeds the bound 24\n"
 
+    def test_hopf_run_digests_the_group_file_without_building_it(
+            self, capsys, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built the group of the --group file")
+
+        monkeypatch.setattr(cli, "group_from_json", refuse)
+        obj = {"name": "Z2xZ2521"}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(obj))
+        code, blob, _ = run_json(
+            capsys, ["homology", "--named", "V4", "--method", "hopf",
+                     "--group", str(path)])
+        assert code == 0
+        assert blob["inputs"]["group"] == hashlib.sha256(
+            json.dumps(obj, sort_keys=True).encode()).hexdigest()
+        assert blob["results"]["hopf"] == {"free_rank": 0, "factors": [2]}
+
     def test_unknown_name_is_an_error(self, capsys):
         code, _, err = run(capsys, ["homology", "--named", "monster"])
         assert code == 2
@@ -195,6 +213,22 @@ class TestGaloisCommand:
             capsys, ["galois", "characterisation", "--hom", hom_file,
                      "--primes", "3"])
         assert code == 0 and blob["results"]["normal"] is True
+
+    def test_hom_names_are_bounded_before_they_are_built(
+            self, capsys, tmp_path, monkeypatch):
+        def refuse(n):
+            raise AssertionError("built the cyclic group of order %d" % n)
+
+        monkeypatch.setattr(corpus, "cyclic", refuse)
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"domain": {"name": "Z2xZ2521"},
+                                    "codomain": {"name": "Z2"},
+                                    "mapping": [0, 1]}))
+        code, out, err = run(capsys, ["galois", "is-normal",
+                                      "--hom", str(path)])
+        assert code == 2 and out == ""
+        assert err == ("error: order 5042 of 'Z2xZ2521' exceeds the bound "
+                       "5040\n")
 
     def test_malformed_hom_file_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -269,6 +303,14 @@ MALFORMED = [
                  id="named-product-above-the-bar-bound"),
     pytest.param("homology", "--group", b'{"name": "Z2xZ2000"}',
                  id="group-name-above-the-bar-bound"),
+    pytest.param(["homology", "--method", "hopf"], "--group",
+                 b'{"name": "Z2xZ2521"}', id="group-file-under-hopf"),
+    pytest.param("galois", "--hom", json.dumps({
+        "domain": {"name": "Z2xZ2521"}, "codomain": {"name": "Z2"},
+        "mapping": [0, 1]}).encode(), id="hom-domain-above-max-order"),
+    pytest.param("galois", "--hom", json.dumps({
+        "domain": {"name": "Z2"}, "codomain": {"name": "Z2521xZ2"},
+        "mapping": [0, 1]}).encode(), id="hom-codomain-above-max-order"),
 ]
 
 
@@ -281,10 +323,14 @@ def test_malformed_input_exits_two(capsys, tmp_path, command, flag, content):
         value = tmp_path / "input"
         value.write_bytes(content)
     # the engine that reads the input, so that only the bad input can
-    # account for exit 2
+    # account for exit 2, unless the row gives its own arguments
     method = "hopf" if flag == "--presentation" else "bar"
-    argv = ([command, "--method", method] if command == "homology"
-            else [command, "is-normal"])
+    if isinstance(command, list):
+        argv = command
+    elif command == "homology":
+        argv = [command, "--method", method]
+    else:
+        argv = [command, "is-normal"]
     code, out, err = run(capsys, argv + [flag, str(value)])
     assert code == 2
     assert out == ""

@@ -106,6 +106,26 @@ def test_snf_diagonal_matches_dense_and_sparse():
         assert snf_diagonal(IntMatrix.from_triplets(m, n, triplets)) == expect
 
 
+def test_snf_diagonal_ignores_row_and_column_order():
+    # units and non-units mixed (some matrices have no unit at all), so
+    # both pivot paths run; permuting rows and columns changes the pivot
+    # order but not the invariant factors
+    rng = random.Random(22)
+    for trial in range(60):
+        m, n = rng.randrange(1, 13), rng.randrange(1, 13)
+        values = (2, -2, 3, 4, -6, 9) if trial % 4 == 0 else (1, -1, 2, -3, 4)
+        entries = [[rng.choice(values) if rng.random() < 0.35 else 0
+                    for _ in range(n)] for _ in range(m)]
+        D, _, _ = snf(IntMatrix(entries, cols=n))
+        expect = [D.entry(i, i) for i in range(min(m, n)) if D.entry(i, i)]
+        assert snf_diagonal(IntMatrix(entries, cols=n)) == expect
+        for _ in range(3):
+            rows = rng.sample(entries, m)
+            cols = rng.sample(range(n), n)
+            permuted = [[row[j] for j in cols] for row in rows]
+            assert snf_diagonal(IntMatrix(permuted, cols=n)) == expect
+
+
 def test_square_snf_preserves_abs_det():
     rng = random.Random(14)
     for _ in range(100):
