@@ -15,12 +15,14 @@ import json
 import os
 import sys
 import time
+from math import prod
 
 from . import __version__
 from .abelian import FgAbelianGroup, PrimeSet
 from .bar import BarConfig, homology
 from .checks import presentation_for, run_suite
-from .corpus import group_from_json, is_integer, named_group
+from .corpus import (group_from_json, is_integer, named_group,
+                     product_orders)
 from .errors import SizeLimitError, ValidationError
 from .galois import (GaloisContext, centralize, characterisation_normal,
                      galois_group, is_normal_ext, is_trivial_ext)
@@ -213,7 +215,8 @@ def cmd_homology(args, argv):
 
 def _hom_from_file(path):
     """The hom of a `--hom` file; a domain or codomain given by name is
-    held to `groups.MAX_ORDER` before its table is built."""
+    held to `groups.MAX_ORDER` before its table is built, and a domain
+    named as a product is checked against the mapping's length first."""
     obj = _read_json(path)
     if not isinstance(obj, dict):
         raise ValidationError("hom file must hold a JSON object")
@@ -223,7 +226,12 @@ def _hom_from_file(path):
     mapping = obj["mapping"]
     if not (isinstance(mapping, list) and all(map(is_integer, mapping))):
         raise ValidationError("'mapping' must be a list of integers")
-    dom = group_from_json(obj["domain"], MAX_ORDER)
+    domain = obj["domain"]
+    if isinstance(domain, dict) and isinstance(domain.get("name"), str):
+        orders = product_orders(domain["name"], MAX_ORDER)
+        if orders is not None and prod(orders) != len(mapping):
+            raise ValidationError("mapping length mismatch")
+    dom = group_from_json(domain, MAX_ORDER)
     cod = group_from_json(obj["codomain"], MAX_ORDER)
     return GroupHom(dom, cod, mapping), obj
 

@@ -157,6 +157,21 @@ def canonical_name(name):
     return _ALIASES.get(key, key)
 
 
+def product_orders(name, max_order=None):
+    """The factor orders of a product name such as 'Z2xZ6', read off the
+    name and held to `max_order`; None for a name that is no such product.
+    """
+    parts = canonical_name(name).split("x")
+    if len(parts) < 2 or not all(p.startswith("z") and p[1:].isdigit()
+                                 for p in parts):
+        return None
+    orders = [int(p[1:]) for p in parts]
+    if max_order is not None and prod(orders) > max_order:
+        raise SizeLimitError("order %d of %r exceeds the bound %d"
+                             % (prod(orders), name, max_order))
+    return orders
+
+
 def named_group(name, max_order=None):
     """Look up a corpus group by name or alias (case-insensitive).
 
@@ -172,14 +187,9 @@ bound 24
     key = canonical_name(name)
     if key in _NAMED:
         return _NAMED[key]()
-    if "x" in key:
-        parts = key.split("x")
-        if all(p.startswith("z") and p[1:].isdigit() for p in parts):
-            orders = [int(p[1:]) for p in parts]
-            if max_order is not None and prod(orders) > max_order:
-                raise SizeLimitError("order %d of %r exceeds the bound %d"
-                                     % (prod(orders), name, max_order))
-            return abelian(orders)
+    orders = product_orders(name, max_order)
+    if orders is not None:
+        return abelian(orders)
     raise ValidationError("unknown group name: %r" % (name,))
 
 

@@ -142,11 +142,6 @@ class FiniteGroup:
                     queue.append(y)
         return Subgroup(self, seen, _checked=True)
 
-    def normal_closure(self, gens):
-        conj = {self.conjugate(x, g)
-                for x in gens for g in range(self.order)}
-        return self.generated_subgroup(sorted(conj))
-
     def center(self):
         t = self.table
         members = [z for z in range(self.order)
@@ -394,9 +389,6 @@ class GroupHom:
 
     def is_surjective(self):
         return len(set(self.mapping)) == self.codomain.order
-
-    def is_injective(self):
-        return len(set(self.mapping)) == self.domain.order
 
     def then(self, other):
         """self followed by other (their composite as one hom)."""

@@ -22,13 +22,13 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .abelian import PrimeSet, torsion_closure_rows
+from .abelian import PrimeSet
 from .errors import SizeLimitError, ValidationError
 from .freenil import NilHom, free_nil_group
 from .matrices import IntMatrix
-from .pcseq import (abelian_quotient, commutator_subgroup, induced_sequence,
-                    intersect, intersect_with_kernel, letter_span,
-                    normal_closure, shadow)
+from .pcseq import (abelian_quotient, commutator_subgroup, intersect,
+                    intersect_with_kernel, letter_span, normal_closure,
+                    shadow, torsion_closure_in)
 
 DEFAULT_MAX_CLASS = 4
 DEFAULT_RANK_CAP = 8
@@ -377,36 +377,9 @@ def evaluate_cube(cube, primes=None, k=None):
     N = shadow(N, low)
     D = shadow(D, low)
     if primes is not None and primes.primes:
-        D = _torsion_closure_in(shadow(K, low), D, primes)
+        D = torsion_closure_in(shadow(K, low), D, primes)
     value = abelian_quotient(N, D)
     return value, _subgroup_info(N), _subgroup_info(D)
-
-
-def _torsion_closure_in(K, D, primes):
-    """Preimage in K of the local torsion of the abelian quotient K/D."""
-    t = len(K.seq)
-    if t == 0:
-        return D
-    nclass = K.parent.nclass
-    weights = K.parent.weights
-    rows = [K.coords(m) for m in D.seq]
-    for i in range(t):
-        for j in range(i + 1, t):
-            a, b = K.seq[i], K.seq[j]
-            if weights[a.leading()[0]] + weights[b.leading()[0]] > nclass:
-                continue
-            for u in (a, a.inverse()):
-                for v in (b, b.inverse()):
-                    rows.append(K.coords(u.comm(v)))
-    closure = torsion_closure_rows(t, IntMatrix(rows, cols=t), primes)
-    gens = list(D.seq)
-    for row in closure.to_rows():
-        g = K.parent.identity()
-        for m, c in zip(K.seq, row):
-            if c:
-                g = g.mul(m.pow(c))
-        gens.append(g)
-    return induced_sequence(K.parent, gens)
 
 
 class HopfResult:

@@ -11,19 +11,20 @@ weight w lies in the w-th term of the lower central series, so any
 commutator whose leading weights sum past the class is trivial and can
 be skipped without computing it.
 
-Two routes close a generating set into a sequence.  induced_sequence
-takes any generating set and commutes all member pairs.  normal_closure,
-which the Hopf engine uses for every subgroup it knows to be normal,
-fills one weight layer at a time and only ever commutes members with
-the ambient generators; its docstring proves the result full, and
-commutator_subgroup's proves the reduction of [N, T] to it.  Both end
-in the same canonical box-reduced form, so on a normal subgroup they
-agree member for member.
+One routine, _fill, closes a generating set into a sequence.  It fills
+one weight layer at a time and, when a layer is final, commutes its
+members with a set of acting words; its docstring proves the result
+full.  The callers differ only in what acts: the ambient generators for
+normal_closure, the subgroup's own members for derived_in, and the
+members found so far for induced_sequence, which closes any generating
+set.  Every result ends in the same canonical box-reduced form, so two
+generating sets of one subgroup give the same sequence member for
+member.
 """
 
 from __future__ import annotations
 
-from .abelian import FgAbelianGroup
+from .abelian import FgAbelianGroup, torsion_closure_rows
 from .errors import (InternalCheckError, NotAbelianError, NotNormalError,
                      NotSubsetError, SizeLimitError, ValidationError)
 from .matrices import (HnfSolver, IntMatrix, lattice_intersection,
@@ -101,20 +102,12 @@ class PcSubgroup:
         return "PcSubgroup(%d members)" % len(self.seq)
 
 
-def _canonicalize(F, members):
-    """Box-reduce each member's tail against the deeper members."""
-    seq = [members[l] for l in sorted(members)]
-    for i in range(len(seq) - 2, -1, -1):
-        _, r = reduce_against(seq[i], seq[i + 1:])
-        seq[i] = r
-    return seq
-
-
 def induced_sequence(F, words):
     """The subgroup generated by `words`, as a full triangular sequence.
 
-    The route for subgroups that need not be normal: every pair of
-    members is commuted until nothing new reduces.
+    The route for subgroups that need not be normal: the layer fill with
+    the members themselves acting, so each pair of members is commuted
+    once, when the heavier of the two is final.
 
     >>> from .freenil import FreeNilGroup
     >>> F = FreeNilGroup(2, 2)
@@ -126,52 +119,7 @@ def induced_sequence(F, words):
     >>> [m.leading() for m in T.seq]
     [(0, 2), (1, 2), (2, 1)]
     """
-    members = {}
-
-    def insert(g):
-        while not g.is_identity():
-            l, e = g.leading()
-            if e < 0:
-                g = g.inverse()
-                e = -e
-            m = members.get(l)
-            if m is None:
-                members[l] = g
-                return
-            em = m.exps[l]
-            q = e // em
-            if q:
-                g = m.pow(-q).mul(g)
-            r = g.exps[l]
-            if r:
-                # smaller positive lead at the same letter: swap roles
-                members[l] = g
-                g = m
-
-    for w in words:
-        if w.parent is not F:
-            raise ValidationError("generator from a different ambient group")
-        insert(w)
-
-    weights = F.weights
-    while True:
-        seq = [members[l] for l in sorted(members)]
-        fresh = []
-        for i in range(len(seq)):
-            wi = weights[seq[i].leading()[0]]
-            for j in range(i + 1, len(seq)):
-                if wi + weights[seq[j].leading()[0]] > F.nclass:
-                    continue
-                for a in (seq[i], seq[i].inverse()):
-                    for b in (seq[j], seq[j].inverse()):
-                        _, r = reduce_against(a.comm(b), seq)
-                        if not r.is_identity():
-                            fresh.append(r)
-        if not fresh:
-            break
-        for g in fresh:
-            insert(g)
-    return PcSubgroup(F, _canonicalize(F, members), _checked=True)
+    return _fill(F, words, None)
 
 
 def trivial_subgroup(F):
@@ -230,26 +178,6 @@ def shadow(S, low):
                       _checked=True)
 
 
-def _conjugation_closure(F, base, conjugators):
-    """Close the subgroup `base` under conjugation by the given words."""
-    current = base
-    weights = F.weights
-    while True:
-        fresh = []
-        for m in current.seq:
-            wm = weights[m.leading()[0]]
-            for c in conjugators:
-                if wm + weights[c.leading()[0]] > F.nclass:
-                    continue
-                for by in (c, c.inverse()):
-                    _, r = current.reduce(m.conj(by))
-                    if not r.is_identity():
-                        fresh.append(r)
-        if not fresh:
-            return current
-        current = induced_sequence(F, list(current.seq) + fresh)
-
-
 def _box(layer, lead):
     """Box-reduce a layer after its member at `lead` changed.
 
@@ -271,9 +199,10 @@ def _box(layer, lead):
             layer[l] = reduce_against(layer[l], tail)[1]
 
 
-def normal_closure(F, words):
-    """The normal closure of `words`, built one weight layer at a time.
+def _fill(F, words, acting):
+    """The closure of `words` under `acting`, one weight layer at a time.
 
+    `acting` is a list of words, or None for the members themselves.
     Layer w holds the members whose leading letter has weight w.  Every
     word waits on the layer of its leading weight, and layers are filled
     lightest first, each from its sparsest waiting word up.  A word
@@ -281,33 +210,39 @@ def normal_closure(F, words):
     member there; whenever a member changes, the layer is box-reduced
     again, so no coordinate inside the layer grows.  A remainder that
     leads deeper moves on to its own layer.  Once layer w is final,
-    [m, x_i] for each member m and each ambient generator x_i is sent on
-    (it lies in gamma_{w+1}).  Nothing ever moves back to a lighter
-    layer, so one pass over the layers is the whole computation.
+    [m, x] for each member m and each acting word x is sent on, unless
+    the leading weights of m and x add up past the class (then it is
+    trivial).  With the members themselves acting, x runs over the
+    members of the lighter layers and those before m in its own layer,
+    so each unordered pair is commuted once, when the heavier member is
+    final.  [m, x] lies in gamma_{w+1}, and nothing ever moves back to a
+    lighter layer, so one pass over the layers is the whole computation.
 
-    Why the result is the normal closure, as a full sequence.  Let M_w
-    be the group generated by the members of layers w and deeper.  Every
-    member lies in the closure N, being built from the words, their
-    conjugates and Euclid combinations of those.  Going down from the
-    class: M_{w+1} is normal, and for a member m of layer w the pushed
-    [m, x_i] lies in M_{w+1}, so m^{x_i} = m [m, x_i] lies in M_w; a
-    subgroup of a finitely generated nilpotent group mapped into itself
-    by conjugation with every generator is normal (ascending chain
-    condition), so M_w is normal.  Each word was inserted, and Euclid
+    Why the result is the closure, as a full sequence.  Write A for the
+    acting words (with None: all final members), and let M_w be the
+    group generated by the members of layers w and deeper.  Every member
+    lies in the closure, being built from the words, commutators with A
+    and Euclid combinations of those; each word was inserted, and Euclid
     steps keep the generated subgroup, so M_1 contains the words and
-    equals N.  Further [m, g] lies in M_{w+1} for every g, so M_w/M_{w+1}
-    is abelian and generated by the layer's members; their weight-w
-    coordinate vectors have distinct leading letters, so layer w embeds
-    in gamma_w/gamma_{w+1}, M_w meets gamma_{w+1} in M_{w+1}, and every
+    lies in the closure.  It is the closure once M_1 is normalised by A,
+    which follows going down from the class: assume M_{w+1} is
+    normalised by every x in A.
+    For a member m of layer w, [m, x] (or its inverse [x, m], when x is
+    the heavier member) was pushed into a layer deeper than w, so it lies
+    in M_{w+1}, m^x = m [m, x] lies in M_w, and M_w is normalised by x
+    too (a subgroup of a finitely generated nilpotent group mapped into
+    itself by conjugation with x is mapped onto itself, by the ascending
+    chain condition).  A generates a group that contains every M_w (the
+    ambient group for normal_closure, S for derived_in, M_1 for
+    induced_sequence), so M_{w+1} is normal in M_w, and m commutes with
+    every element of M_w modulo M_{w+1}: M_w/M_{w+1} is abelian and
+    generated by the layer's members.  Their weight-w coordinate vectors
+    have distinct leading letters, so layer w embeds in
+    gamma_w/gamma_{w+1}, M_w meets gamma_{w+1} in M_{w+1}, and every
     element of M_w is an ordered product of powers of the layer's
-    members times an element of M_{w+1}.  That is fullness.
-
-    >>> from .freenil import FreeNilGroup
-    >>> F = FreeNilGroup(2, 2)
-    >>> x1, x2 = F.generator(0), F.generator(1)
-    >>> R = normal_closure(F, [x1.pow(2), x2.pow(2)])
-    >>> [m.leading() for m in R.seq]
-    [(0, 2), (1, 2), (2, 2)]
+    members times an element of M_{w+1}.  That is fullness.  Finally
+    each member is box-reduced against the deeper ones, which changes
+    no generated subgroup and makes the sequence canonical.
     """
     weights = F.weights
     pending = [[] for _ in range(F.nclass + 1)]
@@ -321,7 +256,8 @@ def normal_closure(F, words):
         if g.parent is not F:
             raise ValidationError("generator from a different ambient group")
         push(g)
-    gens = [F.generator(i) for i in range(F.rank)]
+    if acting is not None:
+        acting = [(x, weights[x.leading()[0]]) for x in acting]
     members = {}
     for w in range(1, F.nclass + 1):
         layer = {}
@@ -350,26 +286,49 @@ def normal_closure(F, words):
                     layer[l] = g
                     _box(layer, l)
                     g = m
-        if w < F.nclass:
-            for m in layer.values():
-                for x in gens:
+        final = [(m, weights[l]) for l, m in members.items()]
+        for l in sorted(layer):
+            m = layer[l]
+            for x, wx in final if acting is None else acting:
+                if w + wx <= F.nclass:
                     push(m.comm(x))
+            final.append((m, w))
         members.update(layer)
-    return PcSubgroup(F, _canonicalize(F, members), _checked=True)
+    seq = [members[l] for l in sorted(members)]
+    for i in range(len(seq) - 2, -1, -1):
+        seq[i] = reduce_against(seq[i], seq[i + 1:])[1]
+    return PcSubgroup(F, seq, _checked=True)
+
+
+def normal_closure(F, words):
+    """The normal closure of `words`: the layer fill with the ambient
+    generators acting.
+
+    >>> from .freenil import FreeNilGroup
+    >>> F = FreeNilGroup(2, 2)
+    >>> x1, x2 = F.generator(0), F.generator(1)
+    >>> R = normal_closure(F, [x1.pow(2), x2.pow(2)])
+    >>> [m.leading() for m in R.seq]
+    [(0, 2), (1, 2), (2, 2)]
+    """
+    return _fill(F, words, [F.generator(i) for i in range(F.rank)])
 
 
 def derived_in(S):
-    """[S, S] for a sequence-presented subgroup S."""
+    """[S, S] for a sequence-presented subgroup S.
+
+    It is the normal closure in S of the commutators of S's members, so
+    the layer fill starts from those commutators with S's members acting.
+    """
     F = S.parent
     weights = F.weights
     comms = []
-    for i in range(len(S.seq)):
-        wi = weights[S.seq[i].leading()[0]]
-        for j in range(i + 1, len(S.seq)):
-            if wi + weights[S.seq[j].leading()[0]] > F.nclass:
-                continue
-            comms.append(S.seq[i].comm(S.seq[j]))
-    return _conjugation_closure(F, induced_sequence(F, comms), list(S.seq))
+    for i, a in enumerate(S.seq):
+        wa = weights[a.leading()[0]]
+        for b in S.seq[i + 1:]:
+            if wa + weights[b.leading()[0]] <= F.nclass:
+                comms.append(a.comm(b))
+    return _fill(F, comms, S.seq)
 
 
 def commutator_subgroup(F, gens, T):
@@ -405,6 +364,15 @@ def commutator_subgroup(F, gens, T):
     return normal_closure(F, comms)
 
 
+def _product(F, seq, exps):
+    """The ordered product of the powers seq[i]**exps[i]."""
+    g = F.identity()
+    for m, c in zip(seq, exps):
+        if c:
+            g = g.mul(m.pow(c))
+    return g
+
+
 def intersect_with_kernel(S, phi):
     """S /\\ Ker(phi), with phi a linear map on weight-one coordinates.
 
@@ -419,13 +387,7 @@ def intersect_with_kernel(S, phi):
         return S
     rows = IntMatrix([m.weight_one() for m in S.seq], cols=F.rank).mul(phi)
     combos = left_kernel(rows)
-    gens = []
-    for x in combos.to_rows():
-        g = F.identity()
-        for m, c in zip(S.seq, x):
-            if c:
-                g = g.mul(m.pow(c))
-        gens.append(g)
+    gens = [_product(F, S.seq, x) for x in combos.to_rows()]
     gens.extend(derived_in(S).seq)
     return induced_sequence(F, gens)
 
@@ -488,13 +450,7 @@ def intersect(S, T):
         IntMatrix([k[:len(V.seq)] for k in kern.to_rows()],
                   cols=len(V.seq)))
 
-    combo_gens = []
-    for x in xrows.to_rows():
-        g = low_group.identity()
-        for v, c in zip(V.seq, x):
-            if c:
-                g = g.mul(v.pow(c))
-        combo_gens.append(g)
+    combo_gens = [_product(low_group, V.seq, x) for x in xrows.to_rows()]
     combo_gens.extend(derived_in(V).seq)
     M = induced_sequence(low_group, combo_gens)
 
@@ -556,22 +512,42 @@ def abelian_quotient(N, D):
                 if not D.contains(d.conj(by)):
                     raise NotNormalError(
                         "denominator is not normal in the numerator")
-    t = len(N.seq)
-    rel = []
-    for i in range(t):
-        wi = weights[N.seq[i].leading()[0]]
-        for j in range(i + 1, t):
-            if wi + weights[N.seq[j].leading()[0]] > F.nclass:
+    return FgAbelianGroup.from_relation_matrix(len(N.seq),
+                                               _relation_rows(N, D))
+
+
+def _relation_rows(N, D):
+    """Relations of the abelian quotient N/D on the members of N.
+
+    The rows are the coordinates of D's members and of the commutators
+    of weight-compatible member pairs, in all four signs.  Raises
+    NotAbelianError when a commutator of members leaves D.
+    """
+    F = N.parent
+    weights = F.weights
+    rows = [N.coords(d) for d in D.seq]
+    for i, a in enumerate(N.seq):
+        wa = weights[a.leading()[0]]
+        for b in N.seq[i + 1:]:
+            if wa + weights[b.leading()[0]] > F.nclass:
                 continue
-            plain = N.seq[i].comm(N.seq[j])
+            plain = a.comm(b)
             if not D.contains(plain):
                 raise NotAbelianError("quotient is not abelian")
-            for a in (N.seq[i], N.seq[i].inverse()):
-                for b in (N.seq[j], N.seq[j].inverse()):
-                    rel.append(N.coords(a.comm(b)))
-    for d in D.seq:
-        rel.append(N.coords(d))
-    return FgAbelianGroup.from_relation_matrix(t, IntMatrix(rel, cols=t))
+            ai, bi = a.inverse(), b.inverse()
+            for c in (plain, a.comm(bi), ai.comm(b), ai.comm(bi)):
+                rows.append(N.coords(c))
+    return IntMatrix(rows, cols=len(N.seq))
+
+
+def torsion_closure_in(K, D, primes):
+    """Preimage in K of the local torsion of the abelian quotient K/D."""
+    if not K.seq:
+        return D
+    closure = torsion_closure_rows(len(K.seq), _relation_rows(K, D), primes)
+    gens = list(D.seq)
+    gens.extend(_product(K.parent, K.seq, row) for row in closure.to_rows())
+    return induced_sequence(K.parent, gens)
 
 
 def materialize_quotient(F, R, max_order=2048):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -229,6 +230,24 @@ class TestGaloisCommand:
         assert code == 2 and out == ""
         assert err == ("error: order 5042 of 'Z2xZ2521' exceeds the bound "
                        "5040\n")
+
+    def test_hom_mapping_length_is_checked_before_the_domain_is_built(
+            self, capsys, tmp_path):
+        # building Z2xZ1000 first would take about 200 MB
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"domain": {"name": "Z2xZ1000"},
+                                    "codomain": {"name": "Z2"},
+                                    "mapping": [0, 0]}))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, ["galois", "is-normal",
+                                          "--hom", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err == "error: mapping length mismatch\n"
+        assert peak < 2 * 2 ** 20, peak
 
     def test_malformed_hom_file_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -32,6 +32,83 @@ def random_word(F, rng, spread=3, density=0.5):
                    else 0 for _ in range(len(F.letters))])
 
 
+# ---- reference closure route ------------------------------------------------
+#
+# An independent route to the canonical sequence of a subgroup: insert
+# each word by Euclid steps on its leading exponent alone, commute every
+# pair of members in all four signs until nothing new reduces, and only
+# then box-reduce.  It shares nothing with the layer fill in pcseq but
+# reduce_against, so comparing the two checks the fill's fullness proof.
+
+def reference_sequence(F, words):
+    """The subgroup generated by `words` by the all-pairs fixpoint."""
+    members = {}
+
+    def insert(g):
+        while not g.is_identity():
+            l, e = g.leading()
+            if e < 0:
+                g = g.inverse()
+                e = -e
+            m = members.get(l)
+            if m is None:
+                members[l] = g
+                return
+            q = e // m.exps[l]
+            if q:
+                g = m.pow(-q).mul(g)
+            if g.exps[l]:
+                members[l] = g
+                g = m
+
+    for g in words:
+        insert(g)
+    weights = F.weights
+    while True:
+        seq = [members[l] for l in sorted(members)]
+        fresh = []
+        for i, a in enumerate(seq):
+            for b in seq[i + 1:]:
+                if (weights[a.leading()[0]] + weights[b.leading()[0]]
+                        > F.nclass):
+                    continue
+                for u in (a, a.inverse()):
+                    for v in (b, b.inverse()):
+                        _, r = pc.reduce_against(u.comm(v), seq)
+                        if not r.is_identity():
+                            fresh.append(r)
+        if not fresh:
+            break
+        for g in fresh:
+            insert(g)
+    for i in range(len(seq) - 2, -1, -1):
+        seq[i] = pc.reduce_against(seq[i], seq[i + 1:])[1]
+    return pc.PcSubgroup(F, seq, _checked=True)
+
+
+def reference_conjugation_closure(F, words, conjugators):
+    """The closure of <words> under conjugation by `conjugators`,
+    rebuilt by the all-pairs fixpoint until no conjugate is new."""
+    current = reference_sequence(F, words)
+    while True:
+        fresh = []
+        for m in current.seq:
+            for c in conjugators:
+                for by in (c, c.inverse()):
+                    r = current.remainder(m.conj(by))
+                    if not r.is_identity():
+                        fresh.append(r)
+        if not fresh:
+            return current
+        current = reference_sequence(F, list(current.seq) + fresh)
+
+
+def reference_derived_in(S):
+    F = S.parent
+    comms = [a.comm(b) for i, a in enumerate(S.seq) for b in S.seq[i + 1:]]
+    return reference_conjugation_closure(F, comms, S.seq)
+
+
 class TestHallBasis:
     def test_known_sizes(self):
         assert len(FreeNilGroup(2, 2).letters) == 3
@@ -330,9 +407,28 @@ class TestClosuresAndCommutators:
         for _ in range(3):
             words = [random_word(F, rng, spread=2, density=0.3)
                      for _ in range(rng.randint(1, 3))]
-            want = pc._conjugation_closure(
-                F, pc.induced_sequence(F, words), gens)
+            want = reference_conjugation_closure(F, words, gens)
             assert pc.normal_closure(F, words) == want
+
+    @pytest.mark.parametrize("rank,nclass", [(2, 4), (3, 3), (3, 4), (4, 3)])
+    def test_induced_sequence_matches_all_pairs_route(self, rank, nclass):
+        rng = random.Random(417 + 10 * rank + nclass)
+        F = free_nil_group(rank, nclass)
+        for _ in range(6):
+            words = [random_word(F, rng, spread=2, density=0.3)
+                     for _ in range(rng.randint(2, 3))]
+            assert pc.induced_sequence(F, words) == \
+                reference_sequence(F, words)
+
+    @pytest.mark.parametrize("rank,nclass", [(2, 4), (3, 3), (3, 4), (4, 3)])
+    def test_derived_in_matches_conjugation_route(self, rank, nclass):
+        rng = random.Random(418 + 10 * rank + nclass)
+        F = free_nil_group(rank, nclass)
+        for _ in range(4):
+            S = pc.induced_sequence(F, [
+                random_word(F, rng, spread=2, density=0.6)
+                for _ in range(rng.randint(2, 3))])
+            assert pc.derived_in(S) == reference_derived_in(S)
 
     def test_normal_closure_is_normal_and_full(self):
         # at (2, 5) the conjugation route can take more than 20 s, so the
@@ -354,6 +450,27 @@ class TestClosuresAndCommutators:
                 for b in R.seq[i + 1:]:
                     if w[a.leading()[0]] + w[b.leading()[0]] <= F.nclass:
                         assert R.remainder(a.comm(b)).is_identity()
+
+    def test_induced_sequence_is_closed_and_not_forced_normal(self):
+        # the all-pairs route is too slow at (2, 5) to compare with, so
+        # the defining properties are checked instead
+        rng = random.Random(419)
+        F = free_nil_group(2, 5)
+        gens = [F.generator(i) for i in range(F.rank)]
+        w = F.weights
+        normal = []
+        for _ in range(3):
+            words = [random_word(F, rng, spread=2, density=0.6)
+                     for _ in range(2)]
+            S = pc.induced_sequence(F, words)
+            assert all(S.contains(g) for g in words)
+            for i, a in enumerate(S.seq):
+                for b in S.seq[i + 1:]:
+                    if w[a.leading()[0]] + w[b.leading()[0]] <= F.nclass:
+                        assert S.remainder(a.comm(b)).is_identity()
+            normal.append(all(S.contains(m.conj(x))
+                              for m in S.seq for x in gens))
+        assert not all(normal)
 
     def test_relator_commutator_contains_squared_letter(self):
         # with R = ncl{x^2, y^2, [x,y]} the identity [x^2, y] = [x,y]^2

@@ -20,6 +20,12 @@ from hopfgal.groups import (
 )
 
 
+def normal_closure(G, gens):
+    """The normal closure of `gens` in G: all their conjugates, closed."""
+    return G.generated_subgroup(sorted({G.conjugate(x, g) for x in gens
+                                        for g in G.elements()}))
+
+
 def test_table_validation():
     with pytest.raises(ValidationError):
         FiniteGroup([[0, 1], [1, 1]])  # not a Latin square
@@ -109,7 +115,7 @@ def test_quotient_kernel_round_trip():
                  ("Z12", cyclic(12))]:
         for _ in range(10):
             gens = [rng.randrange(G.order) for _ in range(2)]
-            N = G.normal_closure(gens)
+            N = normal_closure(G, gens)
             _, proj = G.quotient(N)
             assert proj.kernel() == N
 
@@ -124,7 +130,7 @@ def test_pullback_examples():
     # pulling back along the identity recovers the domain
     P2, q1, q2 = pullback(f, identity_hom(Z2))
     assert P2.order == 4
-    assert q1.is_surjective() and q1.is_injective()
+    assert q1.is_surjective() and len(q1.kernel()) == 1
     # fiber product of projections counts fibers
     Z2b = cyclic(2)
     prod = direct_product(cyclic(3), Z2b)
@@ -198,7 +204,7 @@ def test_closure_P_dual_route():
         D = G.derived_subgroup()
         for _ in range(20):
             K = D.product_with(
-                G.normal_closure([rng.randrange(G.order)]))
+                normal_closure(G, [rng.randrange(G.order)]))
             P = PrimeSet(rng.sample([2, 3, 5], rng.randrange(0, 3)))
             cl = closure_P(G, K, P)
             # independent route: exists a P-number m <= |G| with a^m in K
@@ -216,14 +222,14 @@ def test_subgroup_plumbing():
     assert r.intersection(s).members == (0,)
     assert len(r.product_with(s)) == 8
     assert r.is_normal() and not s.is_normal()
-    assert len(D4.normal_closure([4])) == 4
+    assert len(normal_closure(D4, [4])) == 4
     H, incl = r.as_group()
     assert H.order == 4 and H.is_abelian()
     assert [incl(x) for x in H.elements()] == sorted(r.members)
     t = D4.trivial_subgroup()
     assert t.intersection(r) == t
     assert t.product_with(r) == r
-    assert D4.normal_closure([]) == t
+    assert normal_closure(D4, []) == t
     with pytest.raises(ValidationError):
         Subgroup(D4, [0, 1])  # not closed
 
@@ -234,9 +240,9 @@ def test_hom_plumbing():
     f = GroupHom(Z6, Z3, [0, 1, 2, 0, 1, 2])
     assert f.kernel().members == (0, 3)
     assert f.image_of(Z6.full_subgroup()).members == (0, 1, 2)
-    assert f.is_surjective() and not f.is_injective()
+    assert f.is_surjective() and len(f.kernel()) == 2
     assert identity_hom(Z6).is_surjective() and \
-        identity_hom(Z6).is_injective()
+        len(identity_hom(Z6).kernel()) == 1
     g = GroupHom(Z3, Z3, [0, 2, 1])
     assert f.then(g).mapping == (0, 2, 1, 0, 2, 1)
     with pytest.raises(ValidationError):
@@ -349,7 +355,7 @@ def test_pairing_and_inner():
     f = GroupHom(Z6, cyclic(2), [0, 1, 0, 1, 0, 1])
     g = GroupHom(Z6, cyclic(3), [0, 1, 2, 0, 1, 2])
     pair, _ = pairing_hom(f, g)
-    assert pair.is_injective()  # Z6 embeds in Z2 x Z3
+    assert len(pair.kernel()) == 1  # Z6 embeds in Z2 x Z3
     D4 = dihedral(4)
     for a in D4.elements():
         inner_automorphism(D4, a)  # validates as a hom on construction
