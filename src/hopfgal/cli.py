@@ -117,7 +117,9 @@ def _read_json(path):
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer with too many digits, or nesting
+        # deeper than the decoder's recursion limit
         raise ValidationError("%s is not valid JSON: %s" % (path, exc))
 
 

@@ -16,9 +16,10 @@ so disagreement between collection and the model is a hard bug.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import compress
 from math import comb
+from operator import itemgetter
 
 from .errors import InternalCheckError, SizeLimitError, ValidationError
 from .matrices import HnfSolver, IntMatrix
@@ -112,6 +113,9 @@ class FreeNilGroup:
         # letter: they are those of weight > nclass - weight(b_l)
         self._stop = tuple(bisect_right(self.weights, nclass - w)
                            for w in self.weights)
+        # letters from _linear on have weight above nclass / 2: their
+        # Magnus images minus 1 square to zero in the truncation
+        self._linear = bisect_right(self.weights, nclass // 2)
         self._identity = NilWord(self, (0,) * len(letters))
         self._polys = {}
         self._magnus_letters = None
@@ -293,11 +297,36 @@ class FreeNilGroup:
         return z
 
     def magnus_image(self, u):
-        """Image of a normal form in the truncated free algebra."""
+        """Image of a normal form in the truncated free algebra.
+
+        Write X_l = M(b_l) - 1; it has only terms of degree >= w_l.  When
+        2 w_l > c, X_l^2 vanishes in the truncation, so M(b_l)^e = 1 + e X_l,
+        and a product of such factors is 1 plus the sum of their e X_l,
+        since every cross term has degree above c.  Letters are sorted by
+        weight, so these are the trailing syllables: only the letters of
+        weight <= c/2 are multiplied out, and the rest are applied as one
+        summed factor.
+        """
+        nclass = self.nclass
+        sylls = u.syllables()
+        split = bisect_left(sylls, self._linear, key=itemgetter(0))
         z = {(): 1}
-        for l, e in u.syllables():
-            z = _alg_mul(z, _alg_power(self._magnus_letter(l), e,
-                                       self.nclass), self.nclass)
+        for l, e in sylls[:split]:
+            z = _alg_mul(z, _alg_power(self._magnus_letter(l), e, nclass),
+                         nclass)
+        if split < len(sylls):
+            z = _alg_mul(z, self._add_letters({(): 1}, sylls[split:]),
+                         nclass)
+        return z
+
+    def _add_letters(self, z, sylls):
+        """z + sum e X_l over the syllables (l, e), with X_l = M(b_l) - 1;
+        z is updated in place and returned."""
+        get = z.get
+        for l, e in sylls:
+            for m, c in self._magnus_letter(l).items():
+                if m:
+                    z[m] = get(m, 0) + e * c
         return z
 
     def _solver(self, w):
@@ -324,13 +353,26 @@ class FreeNilGroup:
     def extract(self, z):
         """Recover the normal form whose Magnus image is z.
 
-        Peels one weight layer at a time; a layer that is not an integer
-        combination of basic-commutator leading terms means z was not the
-        image of a group element, which is an internal bug.
+        Peels one weight layer at a time.  z must be a unit, 1 + (terms of
+        degree >= 1), and the unit coefficient is checked first.  Before
+        layer w the residue is 1 + R, with R of degree >= w; its degree-w
+        part is solved as an integer combination of the leading terms of
+        the weight-w letters, giving the strip S = prod M(b_i)^c_i = 1 + T,
+        T of degree >= w, and the residue becomes S^-1 (1 + R).  For
+        2w <= c, S^-1 is the reversed product of the letters' inverse
+        powers.  For 2w > c, S = 1 + sum c_i X_i and S^-1 = 1 - sum c_i X_i
+        (X_i = M(b_i) - 1), and (1 - T)(1 + R) = 1 + R - T because TR has
+        degree >= 2w > c, so these top layers only subtract.  A layer that
+        is not an integer combination of basic-commutator leading terms,
+        or a residue left over at the end, means z was not the image of a
+        group element, which is an internal bug.
         """
+        if z.get((), 0) != 1:
+            raise InternalCheckError("unit coefficient corrupted")
+        nclass = self.nclass
         exps = [0] * len(self.letters)
         residue = z
-        for w in range(1, self.nclass + 1):
+        for w in range(1, nclass + 1):
             layer = {m: c for m, c in residue.items() if len(m) == w and c}
             if not layer:
                 continue
@@ -345,19 +387,20 @@ class FreeNilGroup:
             if coeffs is None:
                 raise InternalCheckError(
                     "weight-%d layer is not an integer Hall combination" % w)
-            strip = {(): 1}
-            for i, c in zip(idx, coeffs):
+            strip = [(i, c) for i, c in zip(idx, coeffs) if c]
+            for i, c in strip:
                 exps[i] = c
-                if c:
-                    strip = _alg_mul(strip,
-                                     _alg_power(self._magnus_letter(i), c,
-                                                self.nclass), self.nclass)
-            residue = _alg_mul(_alg_power(strip, -1, self.nclass),
-                               residue, self.nclass)
+            if 2 * w > nclass:
+                residue = self._add_letters(
+                    dict(residue), [(i, -c) for i, c in strip])
+                continue
+            inverse = {(): 1}
+            for i, c in reversed(strip):
+                inverse = _alg_mul(inverse, _alg_power(
+                    self._magnus_letter(i), -c, nclass), nclass)
+            residue = _alg_mul(inverse, residue, nclass)
         if any(c for m, c in residue.items() if m):
             raise InternalCheckError("nonidentity residue after extraction")
-        if residue.get((), 0) != 1:
-            raise InternalCheckError("unit coefficient corrupted")
         return NilWord(self, tuple(exps))
 
     def multiply_via_model(self, u, v):

@@ -32,6 +32,9 @@ from .pcseq import (abelian_quotient, commutator_subgroup, intersect,
 
 DEFAULT_MAX_CLASS = 4
 DEFAULT_RANK_CAP = 8
+# brackets nested deeper than this in a word are rejected, well within
+# the interpreter's recursion limit for parsing and evaluating the word
+MAX_NESTING = 100
 
 
 # ---- word expressions ----------------------------------------------------
@@ -43,10 +46,11 @@ def _parse_word(text, names):
     optional integer exponent; an atom is a generator name, a
     parenthesized word, or a commutator [u,v] = u^-1 v^-1 u v.  Longest
     declared name wins, so adjacent single-letter generators need no
-    separator.
+    separator.  Brackets nest at most MAX_NESTING deep.
     """
     by_length = sorted(names, key=len, reverse=True)
     pos = 0
+    depth = 0
 
     def skip():
         nonlocal pos
@@ -57,20 +61,22 @@ def _parse_word(text, names):
         raise ValidationError("%s at position %d in %r" % (what, pos, text))
 
     def atom():
-        nonlocal pos
+        nonlocal pos, depth
         ch = text[pos]
-        if ch == "(":
+        if ch in "([":
+            if depth == MAX_NESTING:
+                fail("brackets nested deeper than %d" % MAX_NESTING)
+            depth += 1
             pos += 1
-            node = word(")")
+            if ch == "(":
+                node = word(")")
+            else:
+                left = word(",")
+                pos += 1
+                node = ("comm", left, word("]"))
             pos += 1
+            depth -= 1
             return node
-        if ch == "[":
-            pos += 1
-            left = word(",")
-            pos += 1
-            right = word("]")
-            pos += 1
-            return ("comm", left, right)
         for name in by_length:
             if text.startswith(name, pos):
                 pos += len(name)
@@ -87,7 +93,12 @@ def _parse_word(text, names):
             pos += 1
         if pos == start or not text[start:pos].lstrip("+-"):
             fail("expected an exponent")
-        return int(text[start:pos])
+        try:
+            return int(text[start:pos])
+        except ValueError:
+            # more digits than the interpreter converts
+            pos = start
+            fail("exponent too long")
 
     def factor():
         nonlocal pos

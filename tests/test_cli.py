@@ -330,6 +330,25 @@ MALFORMED = [
     pytest.param("galois", "--hom", json.dumps({
         "domain": {"name": "Z2"}, "codomain": {"name": "Z2521xZ2"},
         "mapping": [0, 1]}).encode(), id="hom-codomain-above-max-order"),
+    pytest.param("homology", "--presentation",
+                 b"gens: x\nrels: " + b"(" * 400 + b"x" + b")" * 400
+                 + b"^2\nclass: 1\n", id="parentheses-nested-too-deep"),
+    pytest.param("homology", "--presentation",
+                 b"gens: x\nrels: x^2, " + b"[x," * 3000 + b"x" + b"]" * 3000
+                 + b"\nclass: 1\n", id="commutators-nested-too-deep"),
+    pytest.param("homology", "--presentation",
+                 b"gens: x\nrels: x^" + b"7" * 5000 + b"\nclass: 1\n",
+                 id="exponent-with-too-many-digits"),
+    pytest.param("homology", "--group", b"[" * 100000,
+                 id="group-json-nested-too-deep"),
+    pytest.param("homology", "--group",
+                 b'{"order": ' + b"9" * 5000 + b', "table": [[0]]}',
+                 id="group-json-integer-with-too-many-digits"),
+    pytest.param("galois", "--hom", b"[" * 100000,
+                 id="hom-json-nested-too-deep"),
+    pytest.param("galois", "--hom",
+                 b'{"mapping": [' + b"9" * 5000 + b"]}",
+                 id="hom-json-integer-with-too-many-digits"),
 ]
 
 

@@ -109,6 +109,54 @@ def reference_derived_in(S):
     return reference_conjugation_closure(F, comms, S.seq)
 
 
+# ---- reference Magnus route ------------------------------------------------
+#
+# The Magnus model with a full truncated-algebra product for every letter
+# power and every layer strip, with no use of the degree bound that makes
+# letters of weight above c/2 add: an independent route to magnus_image
+# and extract.
+
+def reference_magnus_image(F, u):
+    z = {(): 1}
+    for l, e in u.syllables():
+        z = _alg_mul(z, _alg_power(F._magnus_letter(l), e, F.nclass),
+                     F.nclass)
+    return z
+
+
+def reference_extract(F, z):
+    exps = [0] * len(F.letters)
+    residue = z
+    for w in range(1, F.nclass + 1):
+        layer = {m: c for m, c in residue.items() if len(m) == w and c}
+        if not layer:
+            continue
+        idx, mono_pos, solver = F._solver(w)
+        target = [0] * len(mono_pos)
+        for m, c in layer.items():
+            if m not in mono_pos:
+                raise InternalCheckError(
+                    "weight-%d layer outside the Hall span" % w)
+            target[mono_pos[m]] = c
+        coeffs = solver.solve(target)
+        if coeffs is None:
+            raise InternalCheckError(
+                "weight-%d layer is not an integer Hall combination" % w)
+        strip = {(): 1}
+        for i, c in zip(idx, coeffs):
+            exps[i] = c
+            if c:
+                strip = _alg_mul(strip, _alg_power(F._magnus_letter(i), c,
+                                                   F.nclass), F.nclass)
+        residue = _alg_mul(_alg_power(strip, -1, F.nclass), residue,
+                           F.nclass)
+    if any(c for m, c in residue.items() if m):
+        raise InternalCheckError("nonidentity residue after extraction")
+    if residue.get((), 0) != 1:
+        raise InternalCheckError("unit coefficient corrupted")
+    return F.word(exps)
+
+
 class TestHallBasis:
     def test_known_sizes(self):
         assert len(FreeNilGroup(2, 2).letters) == 3
@@ -282,6 +330,70 @@ class TestHallPolynomials:
     def test_power_of_non_unit_rejected(self):
         with pytest.raises(InternalCheckError):
             _alg_power({(): 2, (0,): 1}, 3, 2)
+
+
+MODEL_SHAPES = [(2, 6), (3, 5), (4, 3), (5, 4)]
+
+
+class TestMagnusModel:
+    @pytest.mark.parametrize("rank,nclass", MODEL_SHAPES)
+    def test_model_matches_reference_route(self, rank, nclass):
+        rng = random.Random(421 + rank)
+        F = free_nil_group(rank, nclass)
+        top = [i for i, w in enumerate(F.weights) if 2 * w > nclass]
+        for density in (0.1, 0.3, 0.6):
+            u = random_word(F, rng, spread=50, density=density)
+            v = random_word(F, rng, spread=50, density=density)
+            # a word in the letters of weight above c/2 alone
+            x = F.word([rng.randint(-50, 50) if i in top else 0
+                        for i in range(len(F.letters))])
+            for word in (u, v, x):
+                z = F.magnus_image(word)
+                assert z == reference_magnus_image(F, word)
+                assert F.extract(z) == reference_extract(F, z) == word
+            z = _alg_mul(F.magnus_image(u), F.magnus_image(v), nclass)
+            assert F.extract(z) == reference_extract(F, z) == u.mul(v)
+
+    @pytest.mark.parametrize("rank,nclass", MODEL_SHAPES)
+    def test_extract_matches_reference_on_commutator_tails(self, rank,
+                                                           nclass):
+        rng = random.Random(422 + rank)
+        F = free_nil_group(rank, nclass)
+        w = F.weights
+        pairs = [(t, l) for t in range(len(F.letters)) for l in range(t)
+                 if w[t] + w[l] <= nclass]
+        for t, l in rng.sample(pairs, min(6, len(pairs))):
+            f, e = rng.randint(-50, 50), rng.randint(-50, 50)
+            z = _alg_comm(_alg_power(F._magnus_letter(t), f, nclass),
+                          _alg_power(F._magnus_letter(l), e, nclass), nclass)
+            assert F.extract(z) == reference_extract(F, z)
+
+    def test_letter_weights_are_nondecreasing(self):
+        # the letters of weight above c/2 must be the trailing ones for
+        # magnus_image to apply them as one summed factor
+        for rank, nclass in MODEL_SHAPES + [(1, 3), (2, 4), (3, 4)]:
+            weights = list(free_nil_group(rank, nclass).weights)
+            assert weights == sorted(weights)
+
+    @pytest.mark.parametrize("length", [0, 2, 3, 5])
+    def test_corrupted_image_is_rejected_by_both_routes(self, length):
+        # at class 5, layers 1 and 2 strip by products and layers 3 to 5
+        # by subtraction; length 0 corrupts the unit coefficient.  A
+        # single monomial of length >= 2 is no Lie element: the
+        # coefficients of a bracket sum to 0 over each multidegree.
+        rng = random.Random(423)
+        F = free_nil_group(3, 5)
+        top = [2 * w > 5 for w in F.weights]
+        u = random_word(F, rng, spread=9)
+        x = F.word([rng.randint(-9, 9) if t else 0 for t in top])
+        m = (0,) * (length - 1) + (1,) if length else ()
+        for word in (u, x):
+            z = F.magnus_image(word)
+            z[m] = z.get(m, 0) + 1
+            with pytest.raises(InternalCheckError):
+                F.extract(z)
+            with pytest.raises(InternalCheckError):
+                reference_extract(F, z)
 
 
 class TestNilHom:

@@ -11,8 +11,8 @@ from hopfgal.corpus import (PRESENTED, TRIVIAL_PRESENTED, abelian, cyclic,
 from hopfgal.errors import SizeLimitError, ValidationError
 from hopfgal.freenil import FreeNilGroup, NilHom, free_nil_group
 from hopfgal.hopf import (
-    HopfResult, NilPresentation, build_presentation_cube, evaluate_cube,
-    hopf_h2, hopf_pi_n, parse_presentation,
+    MAX_NESTING, HopfResult, NilPresentation, build_presentation_cube,
+    evaluate_cube, hopf_h2, hopf_pi_n, parse_presentation,
 )
 
 
@@ -65,6 +65,19 @@ class TestWordSyntax:
     def test_malformed_words_are_rejected(self, bad):
         with pytest.raises(ValidationError):
             NilPresentation(["x", "y"], [bad], 1, verify=False)
+
+    def test_nesting_is_bounded(self):
+        n = MAX_NESTING
+        deepest = "(" * n + "x" + ")" * n
+        p = NilPresentation(["x"], [deepest + "^2"], 1, verify=False)
+        F, rels = p.ambient(2)
+        assert rels[0] == F.generator(0).pow(2)
+        # the error names the position of the first bracket too deep
+        for word, pos in [("(" + deepest + ")", n),
+                          ("[x," * (n + 1) + "x" + "]" * (n + 1), 3 * n)]:
+            with pytest.raises(ValidationError, match="nested deeper than "
+                               "%d at position %d " % (n, pos)):
+                NilPresentation(["x"], [word], 1, verify=False)
 
 
 class TestPresentation:
