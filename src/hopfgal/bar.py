@@ -136,53 +136,3 @@ def homology(G, n, config=DEFAULT_CONFIG):
     # ker(d_n) is a saturated sublattice, so the torsion of the homology
     # equals the torsion of Z^{b_n} / im(d_{n+1})
     return FgAbelianGroup(free, [d for d in diag_up if d > 1])
-
-
-def unnormalized_homology(G, n, max_basis=_MAX_BASIS):
-    """Same homology from the unnormalized complex (all tuples).
-
-    Exists purely to cross-check the normalized construction on tiny
-    groups; matrices grow like order^n.
-    """
-    if n < 1:
-        raise ValidationError("homology is computed for degrees >= 1")
-    o = G.order
-    if o ** (n + 1) > max_basis:
-        raise SizeLimitError("unnormalized basis exceeds bound")
-
-    def boundary(k):
-        src = o ** k
-        triplets = []
-        for idx in range(src):
-            tup = []
-            rem = idx
-            for _ in range(k):
-                rem, d = divmod(rem, o)
-                tup.append(d)
-            tup.reverse()
-            acc = {}
-            faces = [(tuple(tup[1:]), 1)]
-            sign = -1
-            for t in range(1, k):
-                merged = G.mul(tup[t - 1], tup[t])
-                faces.append((tuple(tup[:t - 1]) + (merged,)
-                              + tuple(tup[t + 1:]), sign))
-                sign = -sign
-            faces.append((tuple(tup[:-1]), sign))
-            for face, s in faces:
-                acc[face] = acc.get(face, 0) + s
-            for face, s in acc.items():
-                if s:
-                    j = 0
-                    for g in face:
-                        j = j * o + g
-                    triplets.append((idx, j, s))
-        return IntMatrix.from_triplets(src, o ** (k - 1), triplets)
-
-    b_n = o ** n
-    d_n = boundary(n)
-    d_up = boundary(n + 1)
-    rank_n = len(snf_diagonal(d_n))
-    diag_up = snf_diagonal(d_up)
-    free = b_n - rank_n - len(diag_up)
-    return FgAbelianGroup(free, [d for d in diag_up if d > 1])

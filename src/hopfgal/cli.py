@@ -163,8 +163,7 @@ def _load_homology_inputs(args, report):
 def _hopf_homology(pres, degree, primes):
     """Presentation-side homology; degree 1 is plain abelianization."""
     if degree == 1:
-        rows = [[m.exps[i] for i in range(pres.rank)]
-                for m in pres.kernel_at(pres.nclass + 1).seq]
+        rows = [m.weight_one() for m in pres.kernel_at(pres.nclass + 1).seq]
         value = FgAbelianGroup.from_relation_matrix(
             pres.rank, IntMatrix(rows, cols=pres.rank))
         if primes:

@@ -206,32 +206,6 @@ def is_n_extension(cube):
     return True
 
 
-def is_double_extension(f1, f0, a, b):
-    """Extension test for the square with top maps f1, f0 and bottom a, b.
-
-    f1: A -> B, f0: A -> C, a: B -> D, b: C -> D.  Raises ValidationError
-    if the square does not commute; otherwise True iff all four maps are
-    surjective and <f1, f0> covers the pullback of a and b.
-    """
-    A = f1.domain
-    if f0.domain is not A:
-        raise ValidationError("the two top maps need a common domain")
-    if a.domain is not f1.codomain or b.domain is not f0.codomain:
-        raise ValidationError("bottom maps do not match the top codomains")
-    if a.codomain is not b.codomain:
-        raise ValidationError("bottom maps need a common codomain")
-    for g in A.elements():
-        if a(f1(g)) != b(f0(g)):
-            raise ValidationError("square does not commute")
-    if not (f1.is_surjective() and f0.is_surjective()
-            and a.is_surjective() and b.is_surjective()):
-        return False
-    seen = {(f1(g), f0(g)) for g in A.elements()}
-    fiber = sum(1 for x in a.domain.elements() for y in b.domain.elements()
-                if a(x) == b(y))
-    return len(seen) == fiber
-
-
 # ---- building cubes -------------------------------------------------------
 
 def cube_from_normal_subgroups(G, normals, check_extension=True):

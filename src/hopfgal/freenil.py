@@ -1,8 +1,18 @@
 """Free nilpotent groups of finite rank and class, with exact arithmetic.
 
-Elements are Mal'cev normal forms: exponent vectors over a Hall basis of
-basic commutators, denoting the product b_1^e_1 ... b_m^e_m in basis
-order.  Multiplication is collection from the left.  The commutator tails
+Elements are Mal'cev normal forms over a Hall basis of basic
+commutators, denoting the product b_1^e_1 ... b_m^e_m in basis order.
+A word stores only its syllables: the (letter, exponent) pairs with
+nonzero exponent, in increasing letter order.  The words of a degree-3
+Hopf computation on a rank-5 cover hold about five of the 205 letters
+of FreeNilGroup(5, 4), so collection, powers, extraction, truncation
+and the reductions in pcseq touch the nonzero letters alone.  A dense
+exponent vector is built on demand, by NilWord.exps, only where a matrix
+row is wanted (the central blocks in pcseq.intersect; weight_one gives
+the generator part); FreeNilGroup.word is the constructor from such a
+vector.
+
+Multiplication is collection from the left.  The commutator tails
 it needs are Hall polynomials: for each letter pair the coordinates of
 [b_t^f, b_l^e] are integer-valued polynomials in (f, e), derived once per
 pair from a few small-exponent tails computed inside a truncated free
@@ -17,7 +27,6 @@ so disagreement between collection and the model is a hard bug.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import compress
 from math import comb
 from operator import itemgetter
 
@@ -25,37 +34,6 @@ from .errors import InternalCheckError, SizeLimitError, ValidationError
 from .matrices import HnfSolver, IntMatrix
 
 MAX_BASIS = 2000
-
-
-def witt_number(d, w):
-    """Rank of the weight-w layer of the free Lie ring on d generators.
-
-    >>> [witt_number(2, w) for w in range(1, 6)]
-    [2, 1, 2, 3, 6]
-    >>> witt_number(1, 3)
-    0
-    """
-    def mobius(n):
-        out = 1
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                n //= p
-                if n % p == 0:
-                    return 0
-                out = -out
-            p += 1
-        if n > 1:
-            out = -out
-        return out
-
-    total = 0
-    e = 1
-    while e <= w:
-        if w % e == 0:
-            total += mobius(e) * d ** (w // e)
-        e += 1
-    return total // w
 
 
 class HallLetter:
@@ -116,7 +94,7 @@ class FreeNilGroup:
         # letters from _linear on have weight above nclass / 2: their
         # Magnus images minus 1 square to zero in the truncation
         self._linear = bisect_right(self.weights, nclass // 2)
-        self._identity = NilWord(self, (0,) * len(letters))
+        self._identity = NilWord(self, ())
         self._polys = {}
         self._magnus_letters = None
         self._solvers = {}
@@ -127,15 +105,20 @@ class FreeNilGroup:
     def generator(self, i):
         if not 0 <= i < self.rank:
             raise ValidationError("no generator %d" % i)
-        exps = [0] * len(self.letters)
-        exps[i] = 1
-        return NilWord(self, tuple(exps))
+        return self.letter(i)
+
+    def letter(self, i):
+        """The basis letter b_i as a word."""
+        if not 0 <= i < len(self.letters):
+            raise ValidationError("no letter %d" % i)
+        return NilWord(self, ((i, 1),))
 
     def word(self, exps):
-        exps = tuple(int(e) for e in exps)
+        """The word with the dense exponent vector `exps`."""
+        exps = [int(e) for e in exps]
         if len(exps) != len(self.letters):
             raise ValidationError("exponent vector length mismatch")
-        return NilWord(self, exps)
+        return NilWord(self, tuple((l, e) for l, e in enumerate(exps) if e))
 
     # ---- collection -----------------------------------------------------
 
@@ -157,56 +140,74 @@ class FreeNilGroup:
         """
         if u.parent is not self or v.parent is not self:
             raise ValidationError("words from a different group")
-        head, tail = u.syllables(), v.syllables()
+        head, tail = u._sylls, v._sylls
         if not head or not tail:
             return v if not head else u
         if self.weights[head[0][0]] + self.weights[tail[0][0]] > self.nclass:
             if len(head) < len(tail):
-                u, tail = v, head
-            out = list(u.exps)
+                head, tail = tail, head
+            out = dict(head)
+            get = out.get
+            fresh = False
             for l, e in tail:
-                out[l] += e
-            return NilWord(self, tuple(out))
-        out = list(u.exps)
-        self._collect(out, head[-1][0], list(reversed(tail)))
-        return NilWord(self, tuple(out))
+                a = get(l)
+                if a is None:
+                    out[l] = e
+                    fresh = True
+                elif a + e:
+                    out[l] = a + e
+                else:
+                    del out[l]
+            # the dict keeps head's letters in order, and fresh letters
+            # follow them in order: at most two sorted runs to merge
+            return NilWord(self, tuple(sorted(out.items()) if fresh
+                                       else out.items()))
+        return self._collect(head, list(reversed(tail)))
 
     def inverse(self, u):
         """u^-1; a word whose letters commute pairwise is negated."""
-        sylls = u.syllables()
-        out = [0] * len(self.letters)
+        sylls = u._sylls
         if not sylls or 2 * self.weights[sylls[0][0]] > self.nclass:
-            for l, e in sylls:
-                out[l] = -e
-        else:
-            self._collect(out, -1, [(l, -e) for l, e in sylls])
-        return NilWord(self, tuple(out))
+            return NilWord(self, tuple((l, -e) for l, e in sylls))
+        return self._collect((), [(l, -e) for l, e in sylls])
 
-    def _collect(self, out, top, stack):
-        """Multiply the normal form `out` by the syllables on `stack`.
+    def _collect(self, head, stack):
+        """The normal form of the word `head` times the syllables on
+        `stack`, which is consumed from its end.
 
-        `out` is updated in place and has no nonzero coordinate above
-        `top`; `stack` is consumed from its end.  Multiplying by b_l^e
-        moves each nonzero b_m^a with l < m < _stop[l] back onto the stack
-        as b_m^a [b_m^a, b_l^e], since b_m^a b_l^e = b_l^e b_m^a
-        [b_m^a, b_l^e].  The letters from _stop[l] on commute with b_l and
-        with every letter between l and them, so they keep their place.
+        The result is kept as its nonzero letters, in order, and their
+        exponents.  Multiplying by b_l^e moves each b_m^a of the result
+        with l < m < _stop[l] back onto the stack as b_m^a [b_m^a, b_l^e],
+        since b_m^a b_l^e = b_l^e b_m^a [b_m^a, b_l^e]; bisection finds
+        those letters without a scan of the ones outside the range.  The
+        letters from _stop[l] on commute with b_l and with every letter
+        between l and them, so they keep their place.
         """
         tail = self.tail
         stop = self._stop
+        keys = [l for l, _ in head]
+        vals = [e for _, e in head]
         pop, push, extend = stack.pop, stack.append, stack.extend
         while stack:
             l, e = pop()
-            for m in range(min(stop[l], top + 1) - 1, l, -1):
-                a = out[m]
-                if a:
-                    out[m] = 0
+            i = bisect_right(keys, l)
+            j = bisect_left(keys, stop[l], i)
+            if i < j:
+                for k in range(j - 1, i - 1, -1):
+                    m, a = keys[k], vals[k]
                     extend(reversed(tail(m, l, a, e)))
                     push((m, a))
-            out[l] += e
-            # nothing is left between l and stop[l]
-            if top < stop[l] or top < l:
-                top = l
+                del keys[i:j], vals[i:j]
+            if i and keys[i - 1] == l:
+                e += vals[i - 1]
+                if e:
+                    vals[i - 1] = e
+                else:
+                    del keys[i - 1], vals[i - 1]
+            else:
+                keys.insert(i, l)
+                vals.insert(i, e)
+        return NilWord(self, tuple(zip(keys, vals)))
 
     def tail(self, t, l, f, e):
         """Syllables of [b_t^f, b_l^e], the collection correction term.
@@ -370,7 +371,7 @@ class FreeNilGroup:
         if z.get((), 0) != 1:
             raise InternalCheckError("unit coefficient corrupted")
         nclass = self.nclass
-        exps = [0] * len(self.letters)
+        sylls = []
         residue = z
         for w in range(1, nclass + 1):
             layer = {m: c for m, c in residue.items() if len(m) == w and c}
@@ -387,9 +388,10 @@ class FreeNilGroup:
             if coeffs is None:
                 raise InternalCheckError(
                     "weight-%d layer is not an integer Hall combination" % w)
+            # letters are sorted by weight, so the strips concatenate
+            # into the syllables in letter order
             strip = [(i, c) for i, c in zip(idx, coeffs) if c]
-            for i, c in strip:
-                exps[i] = c
+            sylls.extend(strip)
             if 2 * w > nclass:
                 residue = self._add_letters(
                     dict(residue), [(i, -c) for i, c in strip])
@@ -401,7 +403,7 @@ class FreeNilGroup:
             residue = _alg_mul(inverse, residue, nclass)
         if any(c for m, c in residue.items() if m):
             raise InternalCheckError("nonidentity residue after extraction")
-        return NilWord(self, tuple(exps))
+        return NilWord(self, tuple(sylls))
 
     def multiply_via_model(self, u, v):
         """Independent product via the algebra model (oracle for multiply)."""
@@ -426,11 +428,21 @@ class FreeNilGroup:
         A section of dropping the top-weight coordinates, not a
         homomorphism.
         """
-        low = self.truncated()
-        if u.parent is not low:
+        if u.parent is not self.truncated():
             raise ValidationError("word not from the truncation")
-        return NilWord(self, u.exps + (0,) * (len(self.letters)
-                                              - len(low.letters)))
+        return NilWord(self, u._sylls)
+
+    def truncate_word(self, u):
+        """Image of a word of a higher-class group on the same generators.
+
+        This group's letters are a prefix of that group's, and dropping
+        the other coordinates is the quotient map.
+        """
+        F = u.parent
+        if F.rank != self.rank or F.nclass < self.nclass:
+            raise ValidationError("not a truncation of the word's group")
+        sylls = u._sylls
+        return NilWord(self, sylls[:bisect_left(sylls, (len(self.letters),))])
 
     def __repr__(self):
         return "FreeNilGroup(rank=%d, class=%d)" % (self.rank, self.nclass)
@@ -452,36 +464,55 @@ def free_nil_group(rank, nclass):
 
 
 class NilWord:
-    """An element in Mal'cev normal form."""
+    """An element in Mal'cev normal form, stored as its syllables.
 
-    __slots__ = ("parent", "exps", "_syllables")
+    The syllables are the (letter index, exponent) pairs with nonzero
+    exponent, in strictly increasing letter order: the normal form is
+    unique, so equality and hashing compare syllables.  `exps` builds the
+    dense exponent vector on demand, for matrix rows.
+    """
 
-    def __init__(self, parent, exps):
+    __slots__ = ("parent", "_sylls")
+
+    def __init__(self, parent, sylls):
         self.parent = parent
-        self.exps = exps
-        self._syllables = None
+        self._sylls = sylls
 
     def syllables(self):
         """The nonzero (letter index, exponent) pairs in letter order."""
-        sylls = self._syllables
-        if sylls is None:
-            sylls = self._syllables = tuple(
-                compress(enumerate(self.exps), self.exps))
-        return sylls
+        return self._sylls
+
+    @property
+    def exps(self):
+        """The dense exponent vector over every letter of the parent."""
+        out = [0] * len(self.parent.letters)
+        for l, e in self._sylls:
+            out[l] = e
+        return tuple(out)
+
+    def exponent(self, l):
+        """The exponent of letter l."""
+        sylls = self._sylls
+        i = bisect_left(sylls, (l,))
+        return sylls[i][1] if i < len(sylls) and sylls[i][0] == l else 0
 
     def is_identity(self):
-        return not any(self.exps)
+        return not self._sylls
 
     def leading(self):
         """(letter index, exponent) of the first nonzero coordinate."""
-        sylls = self._syllables
-        if sylls is None:
-            sylls = self.syllables()
+        sylls = self._sylls
         return sylls[0] if sylls else None
 
     def weight_one(self):
         """The generator-exponent vector (the abelianization image)."""
-        return list(self.exps[:self.parent.rank])
+        rank = self.parent.rank
+        out = [0] * rank
+        for l, e in self._sylls:
+            if l >= rank:
+                break
+            out[l] = e
+        return out
 
     def mul(self, other):
         return self.parent.multiply(self, other)
@@ -492,12 +523,10 @@ class NilWord:
     def pow(self, n):
         """self^n; a word whose letters commute pairwise is scaled."""
         F = self.parent
-        sylls = self.syllables()
+        sylls = self._sylls
         if not sylls or 2 * F.weights[sylls[0][0]] > F.nclass:
-            out = [0] * len(self.exps)
-            for l, e in sylls:
-                out[l] = n * e
-            return NilWord(F, tuple(out))
+            return NilWord(F, tuple((l, n * e) for l, e in sylls)
+                           if n else ())
         base = self if n >= 0 else self.inverse()
         n = abs(n)
         out = F.identity()
@@ -519,13 +548,13 @@ class NilWord:
 
     def __eq__(self, other):
         return (isinstance(other, NilWord) and self.parent is other.parent
-                and self.exps == other.exps)
+                and self._sylls == other._sylls)
 
     def __hash__(self):
-        return hash(self.exps)
+        return hash(self._sylls)
 
     def __repr__(self):
-        return "NilWord(%r)" % (self.exps,)
+        return "NilWord(%r)" % (self._sylls,)
 
 
 class NilHom:

@@ -35,6 +35,9 @@ DEFAULT_RANK_CAP = 8
 # brackets nested deeper than this in a word are rejected, well within
 # the interpreter's recursion limit for parsing and evaluating the word
 MAX_NESTING = 100
+# a word error quotes at most this many characters on each side of its
+# position
+QUOTE_RADIUS = 30
 
 
 # ---- word expressions ----------------------------------------------------
@@ -58,7 +61,12 @@ def _parse_word(text, names):
             pos += 1
 
     def fail(what):
-        raise ValidationError("%s at position %d in %r" % (what, pos, text))
+        # quote a window around the position, so that the error stays one
+        # short line however long the relator is
+        lo, hi = max(0, pos - QUOTE_RADIUS), pos + QUOTE_RADIUS
+        window = (("..." if lo else "") + text[lo:hi]
+                  + ("..." if hi < len(text) else ""))
+        raise ValidationError("%s at position %d in %r" % (what, pos, window))
 
     def atom():
         nonlocal pos, depth
@@ -208,8 +216,7 @@ class <= 1
         F, _ = self.ambient(k)
         R = self.kernel_at(k)
         for i, w in enumerate(F.weights):
-            if w == k and not R.contains(F.word(
-                    tuple(1 if j == i else 0 for j in range(len(F.letters))))):
+            if w == k and not R.contains(F.letter(i)):
                 raise ValidationError(
                     "relators do not force nilpotency class <= %d"
                     % self.nclass)

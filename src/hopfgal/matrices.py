@@ -32,7 +32,7 @@ class IntMatrix:
 
     >>> IntMatrix([[1, 2], [3, 4]]).shape
     (2, 2)
-    >>> IntMatrix.from_triplets(2, 2, [(0, 1, 5)]).to_rows()
+    >>> IntMatrix.from_sparse_rows(2, 2, [((1, 5),), ()]).to_rows()
     [[0, 5], [0, 0]]
     """
 
@@ -60,18 +60,6 @@ class IntMatrix:
         mat.cols = cols
         mat._nz = tuple(nz)
         return mat
-
-    @classmethod
-    def from_triplets(cls, rows, cols, triplets):
-        """Build from (row, col, value) entries; later entries accumulate."""
-        acc = [{} for _ in range(rows)]
-        for i, j, v in triplets:
-            if not 0 <= j < cols:
-                raise IndexError("column %d out of range" % j)
-            r = acc[i]
-            r[j] = r.get(j, 0) + v
-        return cls.from_sparse_rows(rows, cols, (
-            tuple(sorted((j, v) for j, v in r.items() if v)) for r in acc))
 
     @classmethod
     def identity(cls, n):

@@ -24,6 +24,8 @@ member.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .abelian import FgAbelianGroup, torsion_closure_rows
 from .errors import (InternalCheckError, NotAbelianError, NotNormalError,
                      NotSubsetError, SizeLimitError, ValidationError)
@@ -31,40 +33,59 @@ from .matrices import (HnfSolver, IntMatrix, lattice_intersection,
                        left_kernel, row_space_basis)
 
 
-def reduce_against(word, members):
-    """Divide off leading powers of `members` (ascending leads) from the left.
+def reduce_against(word, members, start=0):
+    """Divide off leading powers of `members` from the left.
 
-    Returns (quotients, remainder): word = prod members[i]**q[i] * remainder
-    with the remainder's coordinate at each member's leading letter lying
-    in [0, leading exponent).
+    `members` maps leading letters to members with positive leading
+    exponents; a sequence of members with distinct leads may stand in
+    for the map.  Only leads from letter `start` on divide.  Returns
+    (quotients, remainder): word = prod members[l]**q[l] * remainder in
+    increasing lead order, with q a map from lead to nonzero quotient
+    and the remainder's coordinate at each lead lying in [0, leading
+    exponent).
+
+    The walk visits the remainder's nonzero letters, not the members.
+    Dividing by a member leading at l leaves every coordinate before l
+    unchanged, so the walk goes on from the first letter after l.
     """
+    if not isinstance(members, dict):
+        members = {m.leading()[0]: m for m in members}
     r = word
-    qs = []
-    for m in members:
-        l, e = m.leading()
-        c = r.exps[l]
-        q = c // e
-        qs.append(q)
-        if q:
-            r = m.pow(-q).mul(r)
+    qs = {}
+    sylls = r.syllables()
+    i = bisect_left(sylls, (start,))
+    while i < len(sylls):
+        l, c = sylls[i]
+        m = members.get(l)
+        if m is not None:
+            q = c // m.leading()[1]
+            if q:
+                qs[l] = q
+                r = m.pow(-q).mul(r)
+                sylls = r.syllables()
+                if i < len(sylls) and sylls[i][0] == l:
+                    i += 1
+                continue
+        i += 1
     return qs, r
 
 
 class PcSubgroup:
     """A subgroup presented by a full triangular member sequence."""
 
-    __slots__ = ("parent", "seq")
+    __slots__ = ("parent", "seq", "_by_lead")
 
     def __init__(self, parent, seq, _checked=False):
         if not _checked:
             raise ValidationError("construct subgroups via induced_sequence")
         self.parent = parent
         self.seq = tuple(seq)
+        self._by_lead = {m.leading()[0]: m for m in self.seq}
 
     def reduce(self, word):
         if word.parent is not self.parent:
             raise ValidationError("word from a different ambient group")
-        return reduce_against(word, self.seq)
+        return reduce_against(word, self._by_lead)
 
     def remainder(self, word):
         return self.reduce(word)[1]
@@ -76,7 +97,7 @@ class PcSubgroup:
         qs, r = self.reduce(word)
         if not r.is_identity():
             raise InternalCheckError("coordinates of a non-member")
-        return qs
+        return [qs.get(l, 0) for l in self._by_lead]
 
     def is_trivial(self):
         return not self.seq
@@ -134,25 +155,8 @@ def letter_span(F, indices):
     generator block" and for "every letter of weight >= w"), which makes
     the unit-exponent sequence full as written.
     """
-    return PcSubgroup(F, tuple(F.word(_unit(len(F.letters), i))
-                               for i in sorted(indices)), _checked=True)
-
-
-def derived_subgroup(F):
-    """[F, F]: the letters of weight at least two.
-
-    >>> from .freenil import FreeNilGroup
-    >>> F = FreeNilGroup(2, 3)
-    >>> [m.leading()[0] for m in derived_subgroup(F).seq]
-    [2, 3, 4]
-    """
-    return letter_span(F, [i for i, w in enumerate(F.weights) if w >= 2])
-
-
-def _unit(n, i):
-    e = [0] * n
-    e[i] = 1
-    return e
+    return PcSubgroup(F, tuple(F.letter(i) for i in sorted(indices)),
+                      _checked=True)
 
 
 def shadow(S, low):
@@ -172,8 +176,7 @@ def shadow(S, low):
         return S
     if low.rank != F.rank or low.nclass > F.nclass:
         raise ValidationError("not a truncation of the ambient group")
-    head = len(low.letters)
-    images = (low.word(m.exps[:head]) for m in S.seq)
+    images = (low.truncate_word(m) for m in S.seq)
     return PcSubgroup(low, [m for m in images if not m.is_identity()],
                       _checked=True)
 
@@ -188,15 +191,13 @@ def _box(layer, lead):
     so these reductions touch no coordinate to the left of the lead
     divided by, and the whole layer ends box-reduced.
     """
-    leads = sorted(layer)
-    p = leads.index(lead)
-    new = layer[lead] = reduce_against(
-        layer[lead], [layer[l] for l in leads[p + 1:]])[1]
-    e = new.exps[lead]
-    tail = [layer[l] for l in leads[p:]]
-    for l in leads[:p]:
-        if not 0 <= layer[l].exps[lead] < e:
-            layer[l] = reduce_against(layer[l], tail)[1]
+    new = layer[lead] = reduce_against(layer[lead], layer, lead + 1)[1]
+    e = new.leading()[1]
+    for l in sorted(layer):
+        if l >= lead:
+            break
+        if not 0 <= layer[l].exponent(lead) < e:
+            layer[l] = reduce_against(layer[l], layer, lead)[1]
 
 
 def _fill(F, words, acting):
@@ -278,10 +279,10 @@ def _fill(F, words, acting):
                     _box(layer, l)
                     break
                 # floor division leaves the lead in [0, em), sign or not
-                q = e // m.exps[l]
+                q = e // m.leading()[1]
                 if q:
                     g = m.pow(-q).mul(g)
-                if g.exps[l]:
+                if g.exponent(l):
                     # smaller positive lead at the same letter: swap roles
                     layer[l] = g
                     _box(layer, l)
@@ -294,10 +295,10 @@ def _fill(F, words, acting):
                     push(m.comm(x))
             final.append((m, w))
         members.update(layer)
-    seq = [members[l] for l in sorted(members)]
-    for i in range(len(seq) - 2, -1, -1):
-        seq[i] = reduce_against(seq[i], seq[i + 1:])[1]
-    return PcSubgroup(F, seq, _checked=True)
+    leads = sorted(members)
+    for l in reversed(leads[:-1]):
+        members[l] = reduce_against(members[l], members, l + 1)[1]
+    return PcSubgroup(F, [members[l] for l in leads], _checked=True)
 
 
 def normal_closure(F, words):
@@ -418,7 +419,7 @@ def intersect(S, T):
         return induced_sequence(F, [F.word(r) for r in meet.to_rows()])
 
     def split(P):
-        low = [m for m in P.seq if weights[m.leading()[0]] < F.nclass]
+        low = {l: m for l, m in P._by_lead.items() if weights[l] < F.nclass}
         central = [list(m.exps[z_offset:]) for m in P.seq
                    if weights[m.leading()[0]] == F.nclass]
         return low, IntMatrix(central, cols=len(top))
@@ -434,7 +435,7 @@ def intersect(S, T):
         _, rs = reduce_against(word, s_low)
         _, rt = reduce_against(word, t_low)
         for r in (rs, rt):
-            if any(r.exps[:z_offset]):
+            if not r.is_identity() and r.leading()[0] < z_offset:
                 raise InternalCheckError("reduction left a non-central part")
         return (list(rs.exps[z_offset:]), list(rt.exps[z_offset:]))
 
@@ -565,7 +566,7 @@ def materialize_quotient(F, R, max_order=2048):
     if not ident.is_identity():
         raise InternalCheckError("identity coset has a nontrivial remainder")
     reps = [F.identity()]
-    index = {F.identity().exps: 0}
+    index = {F.identity(): 0}
     steps = []
     for i in range(F.rank):
         steps.append(F.generator(i))
@@ -575,11 +576,11 @@ def materialize_quotient(F, R, max_order=2048):
         i = queue.popleft()
         for g in steps:
             w = R.remainder(reps[i].mul(g))
-            if w.exps not in index:
+            if w not in index:
                 if len(reps) >= max_order:
                     raise SizeLimitError(
                         "quotient exceeds %d elements" % max_order)
-                index[w.exps] = len(reps)
+                index[w] = len(reps)
                 reps.append(w)
                 queue.append(len(reps) - 1)
     n = len(reps)
@@ -587,6 +588,6 @@ def materialize_quotient(F, R, max_order=2048):
     for a in range(n):
         row = []
         for b in range(n):
-            row.append(index[R.remainder(reps[a].mul(reps[b])).exps])
+            row.append(index[R.remainder(reps[a].mul(reps[b]))])
         table.append(row)
     return FiniteGroup(table, validate=False), reps

@@ -349,6 +349,9 @@ MALFORMED = [
     pytest.param("galois", "--hom",
                  b'{"mapping": [' + b"9" * 5000 + b"]}",
                  id="hom-json-integer-with-too-many-digits"),
+    pytest.param("homology", "--presentation",
+                 b"gens: x\nrels: " + b"x" * 12000 + b"?x\nclass: 1\n",
+                 id="long-relator-quoted-in-a-window"),
 ]
 
 
@@ -373,6 +376,11 @@ def test_malformed_input_exits_two(capsys, tmp_path, command, flag, content):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if flag == "--presentation":
+        # a presentation error quotes a bounded part of the input, however
+        # long, in one line of at most 200 characters (the JSON readers'
+        # errors name the file, whose path the test does not choose)
+        assert len(err) <= 201
 
 
 class TestVerifyCommand:

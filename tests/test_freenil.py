@@ -7,7 +7,7 @@ from hopfgal.errors import (InternalCheckError, NotAbelianError,
                             NotNormalError, NotSubsetError, SizeLimitError,
                             ValidationError)
 from hopfgal.freenil import (FreeNilGroup, NilHom, _alg_comm, _alg_mul,
-                             _alg_power, free_nil_group, witt_number)
+                             _alg_power, free_nil_group)
 from hopfgal.groups import commutator_subgroup
 from hopfgal.matrices import IntMatrix
 from hopfgal import pcseq as pc
@@ -25,6 +25,32 @@ def nilpotency_class(G):
 
 def whole_group(F):
     return pc.letter_span(F, range(len(F.letters)))
+
+
+def reference_witt_number(d, w):
+    """Rank of the weight-w layer of the free Lie ring on d generators,
+    by Witt's formula: a reference count for the Hall basis."""
+    def mobius(n):
+        out = 1
+        p = 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        if n > 1:
+            out = -out
+        return out
+
+    return sum(mobius(e) * d ** (w // e)
+               for e in range(1, w + 1) if w % e == 0) // w
+
+
+def reference_derived_subgroup(F):
+    """[F, F] in closed form: the letters of weight at least two."""
+    return pc.letter_span(F, [i for i, w in enumerate(F.weights) if w >= 2])
 
 
 def random_word(F, rng, spread=3, density=0.5):
@@ -164,11 +190,14 @@ class TestHallBasis:
         assert len(FreeNilGroup(2, 3).letters) == 5
 
     def test_witt_numbers(self):
+        assert [reference_witt_number(2, w) for w in range(1, 6)] == \
+            [2, 1, 2, 3, 6]
+        assert reference_witt_number(1, 3) == 0
         for d in (1, 2, 3):
             for c in (1, 2, 3, 4, 5):
                 F = FreeNilGroup(d, c)
                 assert [F.weights.count(w) for w in range(1, c + 1)] == \
-                    [witt_number(d, w) for w in range(1, c + 1)]
+                    [reference_witt_number(d, w) for w in range(1, c + 1)]
 
     def test_basis_prefix_under_truncation(self):
         F = FreeNilGroup(3, 4)
@@ -243,13 +272,18 @@ class TestCollection:
             F.multiply(F.generator(0), G.generator(0))
 
     def test_collection_matches_algebra_model_on_pullback_cover_shape(self):
-        # rank 5, class 4 is the pullback cover of the degree-3 V4 cube
+        # rank 5, class 4 is the pullback cover of the degree-3 V4 cube.
+        # Degree-3 Hopf runs multiply words with about four of its 205
+        # letters, which density 0.02 draws; check_collection draws
+        # dense words at ranks 1 to 3 only.
         rng = random.Random(413)
         F = free_nil_group(5, 4)
-        for _ in range(12):
-            u = random_word(F, rng, spread=9, density=0.2)
-            v = random_word(F, rng, spread=9, density=0.2)
-            assert F.multiply(u, v) == F.multiply_via_model(u, v)
+        for density, count in ((0.2, 12), (0.02, 60)):
+            for _ in range(count):
+                u = random_word(F, rng, spread=9, density=density)
+                v = random_word(F, rng, spread=9, density=density)
+                assert F.multiply(u, v) == F.multiply_via_model(u, v)
+                assert F.multiply(v, u) == F.multiply_via_model(v, u)
 
     @pytest.mark.parametrize("rank,nclass", [(2, 5), (3, 4), (5, 4)])
     def test_commuting_words_match_algebra_model(self, rank, nclass):
@@ -289,6 +323,61 @@ class TestCollection:
         report = check_collection(300, seed)
         assert report.ok, report.failures[:3]
         assert report.cases == 400
+
+
+def assert_canonical(u):
+    """u is stored as its syllables: strictly increasing letters of its
+    parent, no zero exponent, and the same word as its dense vector."""
+    letters = [l for l, _ in u.syllables()]
+    assert letters == sorted(set(letters))
+    assert all(0 <= l < len(u.parent.letters) for l in letters)
+    assert all(e for _, e in u.syllables())
+    assert u == u.parent.word(u.exps)
+    assert hash(u) == hash(u.parent.word(u.exps))
+
+
+class TestSyllableForm:
+    @pytest.mark.parametrize("rank,nclass", [(2, 4), (3, 3), (5, 4)])
+    def test_every_route_keeps_the_syllable_form(self, rank, nclass):
+        rng = random.Random(430 + rank)
+        F = free_nil_group(rank, nclass)
+        low = F.truncated()
+        G = free_nil_group(2, nclass)
+        phi = NilHom(G, F, [random_word(F, rng, density=0.05)
+                            for _ in range(2)])
+        words = [F.identity(), F.generator(0), F.generator(rank - 1),
+                 F.letter(len(F.letters) - 1), F.word([0] * len(F.letters))]
+        words += [random_word(F, rng, spread=4, density=d)
+                  for d in (0.02, 0.1, 0.5, 1.0) for _ in range(2)]
+        out = list(words)
+        for u in words:
+            out += [u.inverse(), u.pow(-3), u.pow(0), u.pow(2),
+                    F.extract(F.magnus_image(u)), low.truncate_word(u),
+                    F.lift_word(low.truncate_word(u))]
+            for v in words:
+                out += [F.multiply(u, v), u.mul(v).mul(v.inverse())]
+        out += [phi.apply(random_word(G, rng)) for _ in range(4)]
+        S = pc.induced_sequence(F, words[5:8])
+        out += list(pc.shadow(S, low).seq)
+        for u in out:
+            assert_canonical(u)
+        # equality and hashing agree with the dense vectors, also for
+        # words reached by different routes and for words of two groups
+        # with equal syllables
+        for a in out[::7]:
+            for b in out[::5] + [low.truncate_word(a)]:
+                assert (a == b) == (a.parent is b.parent and a.exps == b.exps)
+                if a == b:
+                    assert hash(a) == hash(b)
+
+    def test_cancelling_exponents_leave_no_syllable(self):
+        F = free_nil_group(5, 4)
+        rng = random.Random(431)
+        for _ in range(20):
+            u = random_word(F, rng, spread=9, density=0.02)
+            assert F.multiply(u, u.inverse()).syllables() == ()
+            assert u.pow(0).syllables() == ()
+            assert F.multiply(u.pow(3), u.pow(-2)) == u
 
 
 class TestHallPolynomials:
@@ -596,12 +685,12 @@ class TestClosuresAndCommutators:
 
     def test_derived_subgroup_letters(self):
         F = FreeNilGroup(2, 3)
-        der = pc.derived_subgroup(F)
+        der = reference_derived_subgroup(F)
         assert [m.leading() for m in der.seq] == [(2, 1), (3, 1), (4, 1)]
 
     def test_derived_in_matches_whole_group_derived(self):
         F = FreeNilGroup(2, 3)
-        assert pc.derived_in(whole_group(F)) == pc.derived_subgroup(F)
+        assert pc.derived_in(whole_group(F)) == reference_derived_subgroup(F)
 
 
 class TestIntersection:
@@ -611,8 +700,8 @@ class TestIntersection:
         xy = x.mul(y)
         R = pc.normal_closure(F, [x.pow(4), y.pow(2), xy.mul(xy)])
         N1 = pc.intersect_with_kernel(R, IntMatrix.identity(2))
-        N2 = pc.intersect(R, pc.derived_subgroup(F))
-        N3 = pc.intersect(pc.derived_subgroup(F), R)
+        N2 = pc.intersect(R, reference_derived_subgroup(F))
+        N3 = pc.intersect(reference_derived_subgroup(F), R)
         assert N1 == N2 == N3
 
     def test_membership_characterizes_intersection(self):

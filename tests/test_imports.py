@@ -56,14 +56,6 @@ def test_no_unused_imports(path):
 # Public module-level names that nothing else in src/ refers to, each with
 # the reason it stays.
 UNCALLED_BY_DESIGN = {
-    "bar.unnormalized_homology":
-        "reference route: tests compare bar homology with it",
-    "cubes.is_double_extension":
-        "reference route: tests compare is_n_extension on squares with it",
-    "freenil.witt_number":
-        "reference route: tests count Hall basis letters with it",
-    "pcseq.derived_subgroup":
-        "reference route: tests compare derived_in with this closed form",
     "galois.galois_groupoid": "ROADMAP item 2 runs it on Schur covers",
     "galois.normal_radical_check": "ROADMAP item 2 runs it on Schur covers",
     "pcseq.materialize_quotient": "ROADMAP item 2 builds Schur covers with it",
@@ -157,3 +149,48 @@ def test_public_methods_have_a_caller_in_src():
         "public methods with no caller in src/"
     assert set(METHODS_UNCALLED_BY_DESIGN) - uncalled == set(), \
         "stale entries: these now have a caller in src/ or are gone"
+
+
+# Call sites in src/ that may read a word's dense vectors: the exponent
+# vector over every basis letter (`.exps`) or the generator-exponent
+# vector (`.weight_one()`), each with the reason.  Words are stored as
+# their syllables, so collection and reduction work on the nonzero
+# letters alone; a dense read there would scan the whole basis again.
+DENSE_ACCESSORS = ("exps", "weight_one")
+DENSE_READS_BY_DESIGN = {
+    ("pcseq.intersect", "exps"):
+        "matrix rows: the class-1 lattices and the central blocks",
+    ("pcseq.intersect_with_kernel", "weight_one"):
+        "matrix rows: the weight-one vectors that phi maps",
+    ("cli._hopf_homology", "weight_one"):
+        "matrix rows: the relations of H1 on the generators",
+}
+
+
+def _scopes(tree):
+    """(name, node) of each top-level statement, with each statement of
+    a top-level class body named `Class.method` (or `Class.<body>`)."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield "%s.%s" % (node.name,
+                                 getattr(item, "name", "<body>")), item
+        else:
+            yield getattr(node, "name", "<module>"), node
+
+
+def test_dense_word_vectors_are_read_only_where_allowed():
+    """Matched by attribute name, like the caller lints: any `x.exps` or
+    `x.weight_one` read in src/ counts, whatever the type of x."""
+    found = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope, node in _scopes(tree):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and \
+                        sub.attr in DENSE_ACCESSORS:
+                    found.add(("%s.%s" % (path.stem, scope), sub.attr))
+    assert found - set(DENSE_READS_BY_DESIGN) == set(), \
+        "dense word vectors read outside the allow-list"
+    assert set(DENSE_READS_BY_DESIGN) - found == set(), \
+        "stale entries: these sites no longer read a dense vector"

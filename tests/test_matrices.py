@@ -101,9 +101,9 @@ def test_snf_diagonal_matches_dense_and_sparse():
         D, _, _ = snf(M)
         expect = [D.entry(i, i) for i in range(min(m, n)) if D.entry(i, i)]
         assert snf_diagonal(M) == expect
-        triplets = [(i, j, v) for i, row in enumerate(entries)
-                    for j, v in enumerate(row) if v]
-        assert snf_diagonal(IntMatrix.from_triplets(m, n, triplets)) == expect
+        nz = [tuple((j, v) for j, v in enumerate(row) if v)
+              for row in entries]
+        assert snf_diagonal(IntMatrix.from_sparse_rows(m, n, nz)) == expect
 
 
 def test_snf_diagonal_ignores_row_and_column_order():
@@ -239,36 +239,27 @@ def test_bareiss_det_multiplicative():
         assert bareiss_det(A.mul(B)) == bareiss_det(A) * bareiss_det(B)
 
 
-def _random_dense(rng, m, n, density):
-    return [[rng.randrange(-9, 10) if rng.random() < density else 0
-             for _ in range(n)] for _ in range(m)]
-
-
-def test_dense_and_triplet_construction_agree():
+def test_dense_and_sparse_construction_agree():
     rng = random.Random(19)
     for _ in range(150):
         m, n = rng.randrange(0, 6), rng.randrange(1, 6)
         entries = _random_dense(rng, m, n, rng.random())
-        triplets = []
-        for i, row in enumerate(entries):
-            for j, v in enumerate(row):
-                # explicit zeros, split values and pairs that cancel
-                triplets += [(i, j, v - 3), (i, j, 0), (i, j, 3)]
-                if rng.randrange(2):
-                    triplets += [(i, j, 5), (i, j, -5)]
-        rng.shuffle(triplets)
         dense = IntMatrix(entries, cols=n)
-        built = IntMatrix.from_triplets(m, n, triplets)
+        built = IntMatrix.from_sparse_rows(m, n, [
+            tuple((j, v) for j, v in enumerate(row) if v) for row in entries])
         assert dense == built
         assert hash(dense) == hash(built)
         assert built.to_rows() == entries
-    assert IntMatrix.from_triplets(2, 2, [(1, 0, 4), (1, 0, -4)]) == \
-        IntMatrix.zero(2, 2)
     assert IntMatrix([[0, 0], [0, 0]]) == IntMatrix.zero(2, 2)
     assert IntMatrix([[1, 0], [0, 1]]) == IntMatrix.identity(2)
     assert IntMatrix([[1, 0]]) != IntMatrix([[1, 0, 0]])
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
+
+
+def _random_dense(rng, m, n, density):
+    return [[rng.randrange(-9, 10) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(m)]
 
 
 def test_mul_matches_dense_triple_loop():
