@@ -36,6 +36,37 @@ from .matrices import HnfSolver, IntMatrix
 MAX_BASIS = 2000
 
 
+def witt_number(d, w):
+    """Rank of the weight-w layer of the free Lie ring on d generators.
+
+    >>> [witt_number(2, w) for w in range(1, 6)]
+    [2, 1, 2, 3, 6]
+    >>> witt_number(1, 3)
+    0
+    """
+    def mobius(n):
+        out = 1
+        p = 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        if n > 1:
+            out = -out
+        return out
+
+    total = 0
+    e = 1
+    while e <= w:
+        if w % e == 0:
+            total += mobius(e) * d ** (w // e)
+        e += 1
+    return total // w
+
+
 class HallLetter:
     """One basic commutator: a generator, or a bracket of earlier letters."""
 

@@ -159,6 +159,17 @@ def letter_span(F, indices):
                       _checked=True)
 
 
+def derived_subgroup(F):
+    """[F, F]: the letters of weight at least two.
+
+    >>> from .freenil import FreeNilGroup
+    >>> F = FreeNilGroup(2, 3)
+    >>> [m.leading()[0] for m in derived_subgroup(F).seq]
+    [2, 3, 4]
+    """
+    return letter_span(F, [i for i, w in enumerate(F.weights) if w >= 2])
+
+
 def shadow(S, low):
     """Image of S in `low`, a truncation of its ambient to a lower class.
 

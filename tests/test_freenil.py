@@ -7,7 +7,7 @@ from hopfgal.errors import (InternalCheckError, NotAbelianError,
                             NotNormalError, NotSubsetError, SizeLimitError,
                             ValidationError)
 from hopfgal.freenil import (FreeNilGroup, NilHom, _alg_comm, _alg_mul,
-                             _alg_power, free_nil_group)
+                             _alg_power, free_nil_group, witt_number)
 from hopfgal.groups import commutator_subgroup
 from hopfgal.matrices import IntMatrix
 from hopfgal import pcseq as pc
@@ -25,32 +25,6 @@ def nilpotency_class(G):
 
 def whole_group(F):
     return pc.letter_span(F, range(len(F.letters)))
-
-
-def reference_witt_number(d, w):
-    """Rank of the weight-w layer of the free Lie ring on d generators,
-    by Witt's formula: a reference count for the Hall basis."""
-    def mobius(n):
-        out = 1
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                n //= p
-                if n % p == 0:
-                    return 0
-                out = -out
-            p += 1
-        if n > 1:
-            out = -out
-        return out
-
-    return sum(mobius(e) * d ** (w // e)
-               for e in range(1, w + 1) if w % e == 0) // w
-
-
-def reference_derived_subgroup(F):
-    """[F, F] in closed form: the letters of weight at least two."""
-    return pc.letter_span(F, [i for i, w in enumerate(F.weights) if w >= 2])
 
 
 def random_word(F, rng, spread=3, density=0.5):
@@ -190,14 +164,14 @@ class TestHallBasis:
         assert len(FreeNilGroup(2, 3).letters) == 5
 
     def test_witt_numbers(self):
-        assert [reference_witt_number(2, w) for w in range(1, 6)] == \
+        assert [witt_number(2, w) for w in range(1, 6)] == \
             [2, 1, 2, 3, 6]
-        assert reference_witt_number(1, 3) == 0
+        assert witt_number(1, 3) == 0
         for d in (1, 2, 3):
             for c in (1, 2, 3, 4, 5):
                 F = FreeNilGroup(d, c)
                 assert [F.weights.count(w) for w in range(1, c + 1)] == \
-                    [reference_witt_number(d, w) for w in range(1, c + 1)]
+                    [witt_number(d, w) for w in range(1, c + 1)]
 
     def test_basis_prefix_under_truncation(self):
         F = FreeNilGroup(3, 4)
@@ -685,12 +659,12 @@ class TestClosuresAndCommutators:
 
     def test_derived_subgroup_letters(self):
         F = FreeNilGroup(2, 3)
-        der = reference_derived_subgroup(F)
+        der = pc.derived_subgroup(F)
         assert [m.leading() for m in der.seq] == [(2, 1), (3, 1), (4, 1)]
 
     def test_derived_in_matches_whole_group_derived(self):
         F = FreeNilGroup(2, 3)
-        assert pc.derived_in(whole_group(F)) == reference_derived_subgroup(F)
+        assert pc.derived_in(whole_group(F)) == pc.derived_subgroup(F)
 
 
 class TestIntersection:
@@ -700,8 +674,8 @@ class TestIntersection:
         xy = x.mul(y)
         R = pc.normal_closure(F, [x.pow(4), y.pow(2), xy.mul(xy)])
         N1 = pc.intersect_with_kernel(R, IntMatrix.identity(2))
-        N2 = pc.intersect(R, reference_derived_subgroup(F))
-        N3 = pc.intersect(reference_derived_subgroup(F), R)
+        N2 = pc.intersect(R, pc.derived_subgroup(F))
+        N3 = pc.intersect(pc.derived_subgroup(F), R)
         assert N1 == N2 == N3
 
     def test_membership_characterizes_intersection(self):
