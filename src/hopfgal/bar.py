@@ -9,6 +9,11 @@ The degree-n chain group has one basis element per n-tuple of
 non-identity group elements, ordered lexicographically.  The boundary of
 a tuple is the usual alternating sum, with any face containing the
 identity dropped.
+
+The chain groups grow as (|G| - 1)^n, so each degree has a largest
+group order, in the one table MAX_ORDER_BY_DEGREE; max_order_for reads
+it for homology and for callers that check an order before they build
+a group's table.
 """
 
 from __future__ import annotations
@@ -20,22 +25,19 @@ from .errors import SizeLimitError, ValidationError
 from .matrices import IntMatrix, snf_diagonal
 
 
-class BarConfig:
-    """Size policy: largest group order allowed per homology degree."""
-
-    __slots__ = ("max_order_by_degree", "default_max_order")
-
-    def __init__(self, max_order_by_degree=None, default_max_order=6):
-        self.max_order_by_degree = dict(
-            max_order_by_degree if max_order_by_degree is not None
-            else {1: 64, 2: 16, 3: 12})
-        self.default_max_order = int(default_max_order)
-
-    def bound_for(self, degree):
-        return self.max_order_by_degree.get(degree, self.default_max_order)
+# largest group order allowed per homology degree; 6 above degree 3
+MAX_ORDER_BY_DEGREE = {1: 64, 2: 24, 3: 12}
 
 
-DEFAULT_CONFIG = BarConfig()
+def max_order_for(n, max_order=None):
+    """The order bound of degree n: `max_order` if given, else the table.
+
+    >>> max_order_for(2), max_order_for(4), max_order_for(2, 8)
+    (24, 6, 8)
+    """
+    if max_order is not None:
+        return max_order
+    return MAX_ORDER_BY_DEGREE.get(n, 6)
 
 
 class BarChainBasis:
@@ -106,8 +108,12 @@ def bar_boundary(G, n, max_basis=_MAX_BASIS):
     return IntMatrix.from_sparse_rows(src.size, dst.size, nz)
 
 
-def homology(G, n, config=DEFAULT_CONFIG):
+def homology(G, n, max_order=None):
     """H_n(G, Z) as invariant factors, for n >= 1.
+
+    Groups above the order bound of the degree (`max_order` if given,
+    else the table above) raise SizeLimitError before any chain is
+    built.
 
     >>> from hopfgal.corpus import cyclic, klein4
     >>> homology(cyclic(4), 1)
@@ -121,10 +127,10 @@ def homology(G, n, config=DEFAULT_CONFIG):
     """
     if n < 1:
         raise ValidationError("homology is computed for degrees >= 1")
-    if G.order > config.bound_for(n):
-        raise SizeLimitError(
-            "order %d exceeds the degree-%d bound %d"
-            % (G.order, n, config.bound_for(n)))
+    bound = max_order_for(n, max_order)
+    if G.order > bound:
+        raise SizeLimitError("order %d exceeds the degree-%d bound %d"
+                             % (G.order, n, bound))
     b_n = BarChainBasis(G, n).size
     if b_n == 0:
         return FgAbelianGroup.trivial()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .abelian import PrimeSet
-from .bar import BarConfig, bar_boundary, homology
+from .bar import bar_boundary, homology
 from .corpus import (PRESENTED, TRIVIAL_PRESENTED, canonical_name,
                      corpus_up_to, cyclic, dihedral, klein4, quaternion8)
 from .cubes import (cube_from_normal_subgroups, delta_i, delta_inverse,
@@ -25,7 +25,7 @@ from .groups import (Subgroup, closure_P, identity_hom, inner_automorphism,
                      local_torsion_is_trivial,
                      surjections_up_to_precomposition)
 from .freenil import free_nil_group
-from .hopf import NilPresentation, hopf_h2, hopf_pi_n
+from .hopf import NilPresentation, hopf_pi_n
 from .matrices import IntMatrix, bareiss_det, hnf, snf
 
 
@@ -218,9 +218,9 @@ def check_baer_invariance(min_cases=100, max_order=12, extensions=None):
                 break
         if report.cases >= min_cases * 4:
             break
-    two_gen = hopf_h2(presentation_for("Z2xZ2")).value
-    three_gen = hopf_h2(NilPresentation(
-        ["x", "y", "z"], ["x^2", "y^2", "[x,y]", "zxy"], 1)).value
+    two_gen = hopf_pi_n(presentation_for("Z2xZ2"), 1).value
+    three_gen = hopf_pi_n(NilPresentation(
+        ["x", "y", "z"], ["x^2", "y^2", "[x,y]", "zxy"], 1), 1).value
     report.record(two_gen == three_gen,
                   "presentation-dependent second homology: %r vs %r"
                   % (two_gen, three_gen))
@@ -361,14 +361,13 @@ def check_localization_identity(max_order=16, prime_sets=None, bar_cache=None):
     report = CheckReport("localization")
     if prime_sets is None:
         prime_sets = _LOCALIZATION_PRIME_SETS
-    cfg = BarConfig({1: 64, 2: 24, 3: 12})
     if bar_cache is None:
         bar_cache = {}
     for name, pres, G in presented_nilpotent_corpus():
         if G.order > max_order:
             continue
         if name not in bar_cache:
-            bar_cache[name] = homology(G, 2, cfg)
+            bar_cache[name] = homology(G, 2)
         oracle = bar_cache[name]
         for ps in prime_sets:
             got = hopf_pi_n(pres, n=1, primes=list(ps)).value

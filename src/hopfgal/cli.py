@@ -18,8 +18,8 @@ import time
 from math import prod
 
 from . import __version__
-from .abelian import FgAbelianGroup, PrimeSet
-from .bar import BarConfig, homology
+from .abelian import PrimeSet
+from .bar import homology, max_order_for
 from .checks import presentation_for, run_suite
 from .corpus import (group_from_json, is_integer, named_group,
                      product_orders)
@@ -28,7 +28,6 @@ from .galois import (GaloisContext, centralize, characterisation_normal,
                      galois_group, is_normal_ext, is_trivial_ext)
 from .groups import MAX_ORDER, GroupHom
 from .hopf import hopf_pi_n, parse_presentation
-from .matrices import IntMatrix
 
 
 def _env_max_order(default):
@@ -47,13 +46,6 @@ def _positive(value, what):
     if value < 1:
         raise ValidationError("%s must be positive" % what)
     return value
-
-
-def _bar_config():
-    cap = _env_max_order(None)
-    if cap is None:
-        return BarConfig({1: 64, 2: 24, 3: 12})
-    return BarConfig({1: cap, 2: cap, 3: cap}, default_max_order=cap)
 
 
 def _digest(obj):
@@ -142,7 +134,7 @@ def _load_homology_inputs(args, report):
     pres = group = None
     bound = None
     if args.method in ("bar", "both"):
-        bound = _bar_config().bound_for(args.degree)
+        bound = max_order_for(args.degree, _env_max_order(None))
     if args.named:
         report.inputs["named"] = args.named
         if bound is not None:
@@ -160,19 +152,6 @@ def _load_homology_inputs(args, report):
     return pres, group
 
 
-def _hopf_homology(pres, degree, primes):
-    """Presentation-side homology; degree 1 is plain abelianization."""
-    if degree == 1:
-        rows = [m.weight_one() for m in pres.kernel_at(pres.nclass + 1).seq]
-        value = FgAbelianGroup.from_relation_matrix(
-            pres.rank, IntMatrix(rows, cols=pres.rank))
-        if primes:
-            value = value.quotient_by_torsion(PrimeSet(primes))
-        return value, "NONE"
-    result = hopf_pi_n(pres, n=degree - 1, primes=primes or None)
-    return result.value, result.stabilization
-
-
 def cmd_homology(args, argv):
     report = RunReport(argv)
     primes = _parse_primes(args.primes)
@@ -187,18 +166,18 @@ def cmd_homology(args, argv):
                                   "(--presentation, or --named with a "
                                   "presented corpus group)")
         started = time.time()
-        value, stab = _hopf_homology(pres, args.degree, primes)
+        result = hopf_pi_n(pres, args.degree - 1, primes)
         report.time("hopf", started)
-        report.results["hopf"] = _factors_json(value)
-        report.flags["stabilization"] = stab
-        if stab == "UNSTABLE":
+        report.results["hopf"] = _factors_json(result.value)
+        report.flags["stabilization"] = result.stabilization
+        if result.stabilization == "UNSTABLE":
             report.ok = False
     if args.method in ("bar", "both"):
         if group is None:
             raise ValidationError("the bar engine needs a finite group "
                                   "(--named or --group)")
         started = time.time()
-        value = homology(group, args.degree, _bar_config())
+        value = homology(group, args.degree, _env_max_order(None))
         if primes:
             value = value.quotient_by_torsion(PrimeSet(primes))
         report.time("bar", started)

@@ -15,7 +15,7 @@ from functools import partial
 from math import prod
 
 from .errors import SizeLimitError, ValidationError
-from .groups import FiniteGroup, direct_product, from_permutations
+from .groups import DirectProduct, FiniteGroup, from_permutations
 
 
 def cyclic(n):
@@ -114,7 +114,7 @@ def abelian(orders):
         return cyclic(1)
     G = cyclic(orders[0])
     for m in orders[1:]:
-        G = direct_product(G, cyclic(m)).group
+        G = DirectProduct(G, cyclic(m)).group
     name = "x".join("Z%d" % m for m in orders)
     return FiniteGroup(G.table, name=name, validate=False)
 

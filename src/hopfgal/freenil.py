@@ -9,7 +9,8 @@ of FreeNilGroup(5, 4), so collection, powers, extraction, truncation
 and the reductions in pcseq touch the nonzero letters alone.  A dense
 exponent vector is built on demand, by NilWord.exps, only where a matrix
 row is wanted (the central blocks in pcseq.intersect; weight_one gives
-the generator part); FreeNilGroup.word is the constructor from such a
+the generator part, the relation rows of first homology in
+hopf.hopf_pi_n); FreeNilGroup.word is the constructor from such a
 vector.
 
 Multiplication is collection from the left.  The commutator tails

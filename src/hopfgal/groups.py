@@ -446,10 +446,6 @@ def _product_order(A, B, max_order):
     return n
 
 
-def direct_product(A, B, max_order=MAX_ORDER):
-    return DirectProduct(A, B, max_order=max_order)
-
-
 def pullback(f, g, max_order=MAX_ORDER):
     """Fiber product of f and g: (group, projection to dom f, to dom g).
 

@@ -1,5 +1,10 @@
 """Hopf formulae evaluated exactly inside free nilpotent truncations.
 
+hopf_pi_n(pres, n, primes) is the one entry point: it gives H_{n+1} of
+the presented group for n = 0, 1, 2.  First homology (n = 0) is the
+abelianization F/R[F,F], read off the generator exponents of the
+relator closure.
+
 For a presentation of a group of nilpotency class <= c, the classical
 Hopf quotient ([F,F] /\\ R) / [R,F] can be computed in the free
 nilpotent group of class c+1: the omitted part gamma_{c+2}(F) already
@@ -22,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .abelian import PrimeSet
+from .abelian import FgAbelianGroup, PrimeSet
 from .errors import SizeLimitError, ValidationError
 from .freenil import NilHom, free_nil_group
 from .matrices import IntMatrix
@@ -369,21 +374,22 @@ def evaluate_cube(cube, primes=None, k=None):
     """One Hopf quotient of a cube, shadowed down to working class k.
 
     Returns (value, numerator info, denominator info).  The numerator is
-    the derived subgroup met with all kernels; since the ambient
-    abelianization is free, this is also the full torsion preimage, so
-    the same numerator serves every prime set.  The denominator is the
-    product of kernel-intersection commutators over all splittings of
-    the directions, enlarged to its torsion closure when primes are
-    given.  Both are formed at the cube's class and shadowed to class k
-    (default: the cube's class): the deeper intersection refutes
-    elements of the kernel intersection whose defect is invisible at
-    class k itself.
+    the derived subgroup met with all kernels, read off the kernel
+    intersection's sequence as its members of weight >= 2; since the
+    ambient abelianization is free, this is also the full torsion
+    preimage, so the same numerator serves every prime set.  The
+    denominator is the product of kernel-intersection commutators over
+    all splittings of the directions, enlarged to its torsion closure
+    when primes are given.  Both are formed at the cube's class and
+    shadowed to class k (default: the cube's class): the deeper
+    intersection refutes elements of the kernel intersection whose
+    defect is invisible at class k itself.
     """
     Q = cube.ambient
     K = cube.kernels[0]
     for other in cube.kernels[1:]:
         K = intersect(K, other)
-    N = intersect_with_kernel(K, IntMatrix.identity(Q.rank))
+    N = intersect_with_kernel(K)
     gens = [Q.generator(i) for i in range(Q.rank)]
     D = commutator_subgroup(Q, gens, K)
     if cube.n == 2:
@@ -444,36 +450,41 @@ def _normalize_primes(primes):
     return primes if primes.primes else None
 
 
-def hopf_h2(pres, primes=None):
-    """Second homology of the presented group, exactly.
-
-    With primes given, the quotient of second homology by its torsion
-    at those primes (computed from the closed denominator, not by
-    quotienting the plain answer).
-    """
-    primes = _normalize_primes(primes)
-    k = pres.nclass + 1
-    value, num, den = evaluate_cube(build_presentation_cube(pres, 1, k),
-                                    primes)
-    return HopfResult(value, num, den, k, "NONE",
-                      _provenance(pres, 1, primes, [k]))
-
-
-def hopf_pi_n(pres, n=2, primes=None, max_class=DEFAULT_MAX_CLASS,
+def hopf_pi_n(pres, n, primes=None, max_class=DEFAULT_MAX_CLASS,
               rank_cap=DEFAULT_RANK_CAP):
-    """Hopf value for an n-fold presentation of the given group.
+    """Hopf value for an n-fold presentation: H_{n+1} of the presented
+    group, for n = 0, 1, 2.
 
-    n=1 is exact at class c+1.  For n=2 the shadowed quotient is
-    evaluated at consecutive working classes until two agree (each
-    evaluation builds one class deeper than it reports); an agreement
-    is reported STABLE, exhaustion of the class budget yields an
-    UNSTABLE result whose value is None.  An UNSTABLE result is never
-    a number: the caller gets the verdict, not a guess.
+    With primes given, the value is the quotient of that homology by its
+    torsion at those primes.  n=0 is the abelianization F/R[F,F], read
+    off the weight-one vectors of the relator closure; it forms no
+    Hopf quotient of subgroups, so numerator and denominator are None.
+    n=1 is the Hopf quotient, exact at class c+1; with primes it is
+    computed from the closed denominator, not by quotienting the plain
+    answer.  For n=2 the shadowed quotient is evaluated at consecutive
+    working classes until two agree (each evaluation builds one class
+    deeper than it reports); an agreement is reported STABLE,
+    exhaustion of the class budget yields an UNSTABLE result whose
+    value is None.  An UNSTABLE result is never a number: the caller
+    gets the verdict, not a guess.
     """
+    if n not in (0, 1, 2):
+        raise ValidationError("hopf_pi_n is computed for n = 0, 1, 2")
     primes = _normalize_primes(primes)
-    if n == 1:
-        return hopf_h2(pres, primes)
     k0 = pres.nclass + 1
+    if n == 0:
+        rows = [m.weight_one() for m in pres.kernel_at(k0).seq]
+        value = FgAbelianGroup.from_relation_matrix(
+            pres.rank, IntMatrix(rows, cols=pres.rank))
+        if primes is not None:
+            value = value.quotient_by_torsion(primes)
+        return HopfResult(value, None, None, k0, "NONE",
+                          _provenance(pres, n, primes, [k0]))
+    if n == 1:
+        value, num, den = evaluate_cube(build_presentation_cube(pres, 1, k0),
+                                        primes)
+        return HopfResult(value, num, den, k0, "NONE",
+                          _provenance(pres, n, primes, [k0]))
     if max_class < k0 + 2:
         raise ValidationError("stabilization needs to build at class %d; "
                               "raise max_class" % (k0 + 2))
@@ -498,4 +509,3 @@ def hopf_pi_n(pres, n=2, primes=None, max_class=DEFAULT_MAX_CLASS,
                               _provenance(pres, n, primes, [k, k + 1]))
     return HopfResult(None, None, None, max_class, "UNSTABLE",
                       _provenance(pres, n, primes, sorted(runs)))
-

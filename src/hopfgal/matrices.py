@@ -180,12 +180,6 @@ def hnf(mat):
     return IntMatrix(H, cols=n), IntMatrix(U, cols=m)
 
 
-def rank(mat):
-    """Rank over the rationals (via the Hermite form)."""
-    H, _ = hnf(mat)
-    return sum(1 for row in H._nz if row)
-
-
 def left_kernel(mat):
     """Basis of {x : x * mat = 0}, one basis vector per row."""
     H, U = hnf(mat)

@@ -385,23 +385,24 @@ def _product(F, seq, exps):
     return g
 
 
-def intersect_with_kernel(S, phi):
-    """S /\\ Ker(phi), with phi a linear map on weight-one coordinates.
+def intersect_with_kernel(S):
+    """S /\\ [F, F], the kernel of the abelianization met with S.
 
-    `phi` is an IntMatrix with one row per ambient generator; an element
-    with weight-one vector v is in the kernel iff v * phi = 0.  Because
-    the target is torsion free this needs no saturation step.
+    It is the suffix of S's members that lead at weight >= 2.  The
+    members of layer 1 lead at distinct generators, so their weight-one
+    vectors are triangular and hence independent; the deeper members
+    lead past every generator, so their weight-one vectors are zero.  An
+    ordered product of members therefore lies in [F, F] exactly when
+    every layer-1 exponent is 0, so S /\\ [F, F] is the set of ordered
+    products of the deeper members, a full sequence by _fill's fullness
+    argument.  Every lead later than a suffix member is inside the
+    suffix, so the suffix is already box-reduced: it is the canonical
+    sequence of S /\\ [F, F], member for member.
     """
     F = S.parent
-    if phi.rows != F.rank:
-        raise ValidationError("phi needs one row per generator")
-    if not S.seq:
-        return S
-    rows = IntMatrix([m.weight_one() for m in S.seq], cols=F.rank).mul(phi)
-    combos = left_kernel(rows)
-    gens = [_product(F, S.seq, x) for x in combos.to_rows()]
-    gens.extend(derived_in(S).seq)
-    return induced_sequence(F, gens)
+    weights = F.weights
+    return PcSubgroup(F, [m for m in S.seq if weights[m.leading()[0]] >= 2],
+                      _checked=True)
 
 
 def intersect(S, T):

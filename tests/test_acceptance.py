@@ -13,7 +13,7 @@ import time
 import pytest
 
 from hopfgal.abelian import FgAbelianGroup, PrimeSet
-from hopfgal.bar import BarConfig, homology
+from hopfgal.bar import homology
 from hopfgal.checks import (check_baer_invariance, check_bar_differential,
                             check_centrality, check_characterisation,
                             check_closure_laws, check_collection,
@@ -22,10 +22,9 @@ from hopfgal.checks import (check_baer_invariance, check_bar_differential,
                             presented_nilpotent_corpus)
 from hopfgal.corpus import abelian, quaternion8
 from hopfgal.galois import GaloisContext, is_normal_ext, is_trivial_ext
-from hopfgal.hopf import NilPresentation, hopf_h2, hopf_pi_n
+from hopfgal.hopf import NilPresentation, hopf_pi_n
 
 SEED = 20260814
-BAR_CFG = BarConfig({1: 64, 2: 24, 3: 12})
 
 
 def _invariants(value):
@@ -48,7 +47,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def bar_h2(corpus):
-    return {name: homology(G, 2, BAR_CFG) for name, _, G in corpus}
+    return {name: homology(G, 2) for name, _, G in corpus}
 
 
 @pytest.fixture(scope="module")
@@ -62,21 +61,22 @@ def test_criterion_01_hopf_matches_bar_oracle(corpus, bar_h2):
     slowest = 0.0
     for name, pres, G in corpus:
         started = time.monotonic()
-        got = hopf_h2(pres).value
+        got = hopf_pi_n(pres, 1).value
         elapsed = time.monotonic() - started
         assert _invariants(got) == _invariants(bar_h2[name]), name
         budget = 5.0 if G.order <= 8 else 60.0
         assert elapsed < budget, "%s took %.1fs" % (name, elapsed)
         slowest = max(slowest, elapsed)
-    _passed(1, "%d groups, slowest hopf_h2 %.2fs" % (len(corpus), slowest))
+    _passed(1, "%d groups, slowest hopf_pi_n(n=1) %.2fs"
+            % (len(corpus), slowest))
 
 
 def test_criterion_02_exterior_square_of_products():
     for a, b in ((2, 2), (2, 4), (3, 6), (4, 6)):
         pres = NilPresentation(["x", "y"],
                                ["x^%d" % a, "y^%d" % b, "[x,y]"], 1)
-        hopf = hopf_h2(pres).value
-        bar = homology(abelian([a, b]), 2, BAR_CFG)
+        hopf = hopf_pi_n(pres, 1).value
+        bar = homology(abelian([a, b]), 2)
         want = (0, (math.gcd(a, b),))
         assert _invariants(hopf) == want, (a, b)
         assert _invariants(bar) == want, (a, b)
@@ -92,7 +92,7 @@ def test_criterion_03_degree_three_stabilizes(corpus):
         elapsed = time.monotonic() - started
         assert elapsed < 120.0, "%s took %.1fs" % (name, elapsed)
         assert result.stabilization == "STABLE", name
-        oracle = homology(groups[name], 3, BAR_CFG)
+        oracle = homology(groups[name], 3)
         assert _invariants(result.value) == _invariants(oracle), name
     _passed(3, "n=2 STABLE and equal to bar H3 on all four groups")
 
@@ -100,7 +100,7 @@ def test_criterion_03_degree_three_stabilizes(corpus):
 def test_criterion_04_localization_identity(corpus, bar_h2):
     checked = 0
     for name, pres, _ in corpus:
-        plain = hopf_h2(pres).value
+        plain = hopf_pi_n(pres, 1).value
         for ps in ((), (2,), (3,), (2, 3)):
             got = hopf_pi_n(pres, n=1, primes=list(ps)).value
             want = bar_h2[name].quotient_by_torsion(PrimeSet(ps))
@@ -145,9 +145,9 @@ def test_criterion_08_baer_invariance(extensions):
     assert report.ok, report.failures[:5]
     assert report.cases >= 100
 
-    two_gen = hopf_h2(presentation_for("Z2xZ2")).value
-    three_gen = hopf_h2(NilPresentation(
-        ["x", "y", "z"], ["x^2", "y^2", "[x,y]", "zxy"], 1)).value
+    two_gen = hopf_pi_n(presentation_for("Z2xZ2"), 1).value
+    three_gen = hopf_pi_n(NilPresentation(
+        ["x", "y", "z"], ["x^2", "y^2", "[x,y]", "zxy"], 1), 1).value
     assert _invariants(two_gen) == _invariants(three_gen) == (0, (2,))
     _passed(8, "%d lift pairs, presentation-independent H2" % report.cases)
 

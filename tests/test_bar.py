@@ -5,7 +5,7 @@ import pytest
 
 from hopfgal.abelian import FgAbelianGroup
 from hopfgal.bar import (
-    BarChainBasis, BarConfig, bar_boundary, homology,
+    BarChainBasis, bar_boundary, homology, max_order_for,
 )
 from hopfgal.corpus import (
     abelian, cyclic, dihedral, klein4, named_group, nilpotent_corpus,
@@ -119,14 +119,24 @@ def test_trivial_group():
 
 
 def test_size_bounds():
-    cfg = BarConfig({2: 8})
     with pytest.raises(SizeLimitError):
-        homology(cyclic(9), 2, cfg)
-    assert homology(cyclic(8), 2, cfg) == FgAbelianGroup.trivial()
+        homology(cyclic(9), 2, max_order=8)
+    assert homology(cyclic(8), 2, max_order=8) == FgAbelianGroup.trivial()
     with pytest.raises(SizeLimitError):
         bar_boundary(cyclic(12), 3, max_basis=1000)
     with pytest.raises(ValidationError):
         homology(cyclic(3), 0)
+
+
+def test_one_bound_table():
+    # degree 2 allows order 24, the bound the CLI and verify use
+    assert [max_order_for(n) for n in (1, 2, 3, 4, 5)] == [64, 24, 12, 6, 6]
+    assert max_order_for(3, max_order=4) == 4
+    for n in (1, 2, 3, 4):
+        with pytest.raises(SizeLimitError):
+            homology(cyclic(max_order_for(n) + 1), n)
+    with pytest.raises(SizeLimitError):
+        homology(cyclic(5), 1, max_order=4)
 
 
 def test_normalized_matches_unnormalized():

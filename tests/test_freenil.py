@@ -9,7 +9,7 @@ from hopfgal.errors import (InternalCheckError, NotAbelianError,
 from hopfgal.freenil import (FreeNilGroup, NilHom, _alg_comm, _alg_mul,
                              _alg_power, free_nil_group, witt_number)
 from hopfgal.groups import commutator_subgroup
-from hopfgal.matrices import IntMatrix
+from hopfgal.matrices import IntMatrix, left_kernel
 from hopfgal import pcseq as pc
 
 
@@ -667,13 +667,42 @@ class TestClosuresAndCommutators:
         assert pc.derived_in(whole_group(F)) == pc.derived_subgroup(F)
 
 
+def reference_intersect_with_kernel(S):
+    """S /\\ [F, F] by the kernel route: the products of S's members whose
+    weight-one vectors cancel, together with [S, S], closed again."""
+    F = S.parent
+    if not S.seq:
+        return S
+    rows = IntMatrix([m.weight_one() for m in S.seq], cols=F.rank)
+    gens = []
+    for combo in left_kernel(rows).to_rows():
+        g = F.identity()
+        for m, c in zip(S.seq, combo):
+            g = g.mul(m.pow(c))
+        gens.append(g)
+    gens.extend(pc.derived_in(S).seq)
+    return pc.induced_sequence(F, gens)
+
+
 class TestIntersection:
+    @pytest.mark.parametrize("rank,nclass", [(2, 4), (3, 3), (4, 3), (5, 3)])
+    def test_suffix_matches_kernel_route(self, rank, nclass):
+        rng = random.Random(100 * rank + nclass)
+        F = FreeNilGroup(rank, nclass)
+        for close in (pc.induced_sequence, pc.normal_closure) * 5:
+            words = [random_word(F, rng, spread=2)
+                     for _ in range(rng.randint(2, 3))]
+            S = close(F, words)
+            N = pc.intersect_with_kernel(S)
+            assert N == reference_intersect_with_kernel(S)
+            assert all(not any(m.weight_one()) for m in N.seq)
+
     def test_kernel_route_agrees_with_general_route(self):
         F = FreeNilGroup(2, 3)
         x, y = F.generator(0), F.generator(1)
         xy = x.mul(y)
         R = pc.normal_closure(F, [x.pow(4), y.pow(2), xy.mul(xy)])
-        N1 = pc.intersect_with_kernel(R, IntMatrix.identity(2))
+        N1 = pc.intersect_with_kernel(R)
         N2 = pc.intersect(R, pc.derived_subgroup(F))
         N3 = pc.intersect(pc.derived_subgroup(F), R)
         assert N1 == N2 == N3
@@ -754,7 +783,7 @@ class TestAbelianQuotient:
         F = FreeNilGroup(2, 2)
         x, y = F.generator(0), F.generator(1)
         R = pc.normal_closure(F, [x.pow(2), y.pow(2), x.comm(y)])
-        N = pc.intersect_with_kernel(R, IntMatrix.identity(2))
+        N = pc.intersect_with_kernel(R)
         D = pc.commutator_subgroup(F, [x, y], R)
         q = pc.abelian_quotient(N, D)
         assert q.factors == (2,) and q.free_rank == 0

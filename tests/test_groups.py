@@ -13,8 +13,8 @@ from hopfgal.errors import (
     ValidationError,
 )
 from hopfgal.groups import (
-    FiniteGroup, GroupHom, Subgroup, all_homs, closure_P,
-    commutator_subgroup, direct_product, from_permutations, identity_hom,
+    DirectProduct, FiniteGroup, GroupHom, Subgroup, all_homs, closure_P,
+    commutator_subgroup, from_permutations, identity_hom,
     inner_automorphism, local_torsion_is_trivial, minimal_generating_indices,
     pairing_hom, pullback, surjections, surjections_up_to_precomposition,
 )
@@ -133,7 +133,7 @@ def test_pullback_examples():
     assert q1.is_surjective() and len(q1.kernel()) == 1
     # fiber product of projections counts fibers
     Z2b = cyclic(2)
-    prod = direct_product(cyclic(3), Z2b)
+    prod = DirectProduct(cyclic(3), Z2b)
     P3, _, _ = pullback(prod.proj1, identity_hom(Z2b))
     assert P3.order == 6
     with pytest.raises(ValidationError):
@@ -149,7 +149,7 @@ def test_pullback_matches_fibres_of_direct_product():
     for homs in by_base.values():
         for f in homs:
             for g in homs:
-                prod = direct_product(f.domain, g.domain)
+                prod = DirectProduct(f.domain, g.domain)
                 sub = Subgroup(prod.group,
                                [prod.pair(a, b) for a in f.domain.elements()
                                 for b in g.domain.elements() if f(a) == g(b)])

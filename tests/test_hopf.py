@@ -3,16 +3,16 @@ import math
 
 import pytest
 
-from hopfgal.abelian import FgAbelianGroup
+from hopfgal.abelian import FgAbelianGroup, PrimeSet
 from hopfgal import checks
-from hopfgal.bar import BarConfig, homology
+from hopfgal.bar import homology
 from hopfgal.corpus import (PRESENTED, TRIVIAL_PRESENTED, abelian, cyclic,
                             klein4, named_group)
 from hopfgal.errors import SizeLimitError, ValidationError
 from hopfgal.freenil import FreeNilGroup, NilHom, free_nil_group
 from hopfgal.hopf import (
     MAX_NESTING, HopfResult, NilPresentation, build_presentation_cube,
-    evaluate_cube, hopf_h2, hopf_pi_n, parse_presentation,
+    evaluate_cube, hopf_pi_n, parse_presentation,
 )
 
 
@@ -267,13 +267,37 @@ class TestSharedGroups:
         assert at3[0] == r.value
 
 
+class TestFirstHomology:
+    def test_matches_bar_h1_on_the_presented_corpus(self):
+        for name, build, gens, rels, nclass in PRESENTED:
+            pres = NilPresentation(gens, rels, nclass)
+            bar = homology(build(), 1)
+            for primes in ((), (2,), (3,)):
+                got = hopf_pi_n(pres, 0, primes).value
+                assert got == bar.quotient_by_torsion(PrimeSet(primes)), \
+                    (name, primes)
+
+    def test_result_shape(self):
+        r = hopf_pi_n(pres_d4(), 0)
+        assert r.value.factors == (2, 2)
+        assert r.stabilization == "NONE"
+        assert r.working_class == 3
+        assert r.provenance["classes"] == [3]
+        assert r.numerator is None and r.denominator is None
+
+    def test_degree_outside_range_is_rejected(self):
+        for n in (-1, 3):
+            with pytest.raises(ValidationError):
+                hopf_pi_n(pres_v4(), n)
+
+
 class TestSecondHomology:
     def test_cyclic_groups_have_trivial_multiplier(self):
         for n in range(2, 17):
-            assert hopf_h2(pres_cyclic(n)).value.factors == ()
+            assert hopf_pi_n(pres_cyclic(n), 1).value.factors == ()
 
     def test_klein_four(self):
-        r = hopf_h2(pres_v4())
+        r = hopf_pi_n(pres_v4(), 1)
         assert r.value.factors == (2,)
         assert r.stabilization == "NONE"
         assert r.working_class == 2
@@ -283,11 +307,11 @@ class TestSecondHomology:
             p = NilPresentation(["x", "y"],
                                 ["x^%d" % a, "y^%d" % b, "[x,y]"], 1)
             want = () if math.gcd(a, b) == 1 else (math.gcd(a, b),)
-            assert hopf_h2(p).value.factors == want
+            assert hopf_pi_n(p, 1).value.factors == want
 
     def test_dihedral_and_quaternion(self):
-        assert hopf_h2(pres_d4()).value.factors == (2,)
-        assert hopf_h2(pres_q8()).value.factors == ()
+        assert hopf_pi_n(pres_d4(), 1).value.factors == (2,)
+        assert hopf_pi_n(pres_q8(), 1).value.factors == ()
 
     def test_matches_bar_oracle(self):
         pairs = [(pres_v4(), klein4()),
@@ -295,7 +319,7 @@ class TestSecondHomology:
                  (NilPresentation(["x", "y"], ["x^3", "y^3", "[x,y]"], 1),
                   abelian([3, 3]))]
         for pres, G in pairs:
-            assert hopf_h2(pres).value == homology(G, 2)
+            assert hopf_pi_n(pres, 1).value == homology(G, 2)
 
     def test_presentation_independence(self):
         # the same group through three different presentations
@@ -304,9 +328,9 @@ class TestSecondHomology:
                                  ["x^2", "y^2", "[x,y]", "[y,x]"], 1)
         three_gen = NilPresentation(["x", "y", "z"],
                                     ["x^2", "y^2", "[x,y]", "zxy"], 1)
-        want = hopf_h2(two_gen).value
-        assert hopf_h2(padded).value == want
-        assert hopf_h2(three_gen).value == want
+        want = hopf_pi_n(two_gen, 1).value
+        assert hopf_pi_n(padded, 1).value == want
+        assert hopf_pi_n(three_gen, 1).value == want
 
 
 class TestLocalizedSecondHomology:
@@ -319,7 +343,7 @@ class TestLocalizedSecondHomology:
 
     def test_mixed_torsion_splits_by_prime(self):
         p = NilPresentation(["x", "y"], ["x^6", "y^6", "[x,y]"], 1)
-        assert hopf_h2(p).value.factors == (6,)
+        assert hopf_pi_n(p, 1).value.factors == (6,)
         assert hopf_pi_n(p, n=1, primes=[2]).value.factors == (3,)
         assert hopf_pi_n(p, n=1, primes=[3]).value.factors == (2,)
         assert hopf_pi_n(p, n=1, primes=[5]).value.factors == (6,)
@@ -346,12 +370,7 @@ class TestHigherDegree:
         assert r.stabilization == "STABLE"
         assert r.value.factors == (2, 2, 2)
         assert r.provenance["classes"] == [2, 3]
-        assert r.value == homology(klein4(), 3, BarConfig({3: 12}))
-
-    def test_one_fold_delegates_to_h2(self):
-        a = hopf_pi_n(pres_v4(), n=1)
-        b = hopf_h2(pres_v4())
-        assert a.value == b.value and a.provenance == b.provenance
+        assert r.value == homology(klein4(), 3)
 
     def test_class_budget_is_validated(self):
         with pytest.raises(ValidationError):
@@ -371,7 +390,7 @@ class TestHigherDegree:
 
 class TestResultShape:
     def test_json_round_trip_fields(self):
-        r = hopf_h2(pres_v4())
+        r = hopf_pi_n(pres_v4(), 1)
         blob = json.loads(json.dumps(r.to_json()))
         assert blob["stabilization"] == "NONE"
         assert blob["working_class"] == 2

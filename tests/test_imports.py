@@ -1,5 +1,6 @@
-"""Every name imported into a hopfgal module is used by that module, and
-every public function, class and method has a caller in src/.
+"""Every name imported into a hopfgal module is used by that module,
+every public function, class and method has a caller in src/, and every
+function the benchmark's tracer wraps exists under its name.
 
 A standard-library stand-in for a linter's unused-import rule.  A name
 counts as used when the module's code or one of its doctests refers to
@@ -8,12 +9,13 @@ it: `groups` imports `PrimeSet` for its doctests only.
 
 import ast
 import doctest
+import importlib.util
 import pathlib
 
 import pytest
 
-MODULES = sorted(
-    (pathlib.Path(__file__).parent.parent / "src" / "hopfgal").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+MODULES = sorted((ROOT / "src" / "hopfgal").glob("*.py"))
 
 
 def _imported(tree):
@@ -117,17 +119,39 @@ def _read_outside(tree, skip, kind, field):
     return out
 
 
-def _uncalled(definitions, read):
-    """Definitions whose name `read` finds nowhere in src/ outside them."""
+def _from_imports(tree):
+    """{(module, name): bound name} for each `from .module import name`."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                out[node.module, alias.name] = alias.asname or alias.name
+    return out
+
+
+def _uncalled(definitions, read, by_import=False):
+    """Definitions whose name `read` finds nowhere in src/ outside them.
+
+    With `by_import`, a read in another module counts only when that
+    module imports the name from the defining module, so a local
+    variable that shares the name is not a caller.  Within the defining
+    module any read outside the definition counts.
+    """
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in MODULES}
     seen = {stem: read(tree, None) for stem, tree in trees.items()}
+    imports = {stem: _from_imports(tree) for stem, tree in trees.items()}
     uncalled = set()
     for stem, tree in trees.items():
         for qualified, node in definitions(tree):
-            elsewhere = [seen[other] for other in trees if other != stem]
-            elsewhere.append(read(tree, node))
-            if not any(node.name in used for used in elsewhere):
+            reads = [(node.name, read(tree, node))]
+            for other in trees:
+                if other != stem:
+                    name = node.name
+                    if by_import:
+                        name = imports[other].get((stem, name))
+                    reads.append((name, seen[other]))
+            if not any(name in used for name, used in reads):
                 uncalled.add("%s.%s" % (stem, qualified))
     return uncalled
 
@@ -135,9 +159,11 @@ def _uncalled(definitions, read):
 def test_public_names_have_a_caller_in_src():
     """A public function or class that only tests call is dead weight.
 
-    Doctests do not count as callers, and neither does an import.
+    Doctests do not count as callers, and neither does an import.  In
+    another module, only a read of the imported name counts.
     """
-    uncalled = _uncalled(_public_definitions, _names_outside)
+    uncalled = _uncalled(_public_definitions, _names_outside,
+                         by_import=True)
     assert uncalled - set(UNCALLED_BY_DESIGN) == set(), \
         "public names with no caller in src/"
     assert set(UNCALLED_BY_DESIGN) - uncalled == set(), \
@@ -164,9 +190,7 @@ DENSE_ACCESSORS = ("exps", "weight_one")
 DENSE_READS_BY_DESIGN = {
     ("pcseq.intersect", "exps"):
         "matrix rows: the class-1 lattices and the central blocks",
-    ("pcseq.intersect_with_kernel", "weight_one"):
-        "matrix rows: the weight-one vectors that phi maps",
-    ("cli._hopf_homology", "weight_one"):
+    ("hopf.hopf_pi_n", "weight_one"):
         "matrix rows: the relations of H1 on the generators",
 }
 
@@ -198,3 +222,48 @@ def test_dense_word_vectors_are_read_only_where_allowed():
         "dense word vectors read outside the allow-list"
     assert set(DENSE_READS_BY_DESIGN) - found == set(), \
         "stale entries: these sites no longer read a dense vector"
+
+
+# ---- the benchmark's tracer ------------------------------------------------
+
+def _bench_spans():
+    """bench/spans.py, loaded from its path as it is."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_span_targets_resolve():
+    """Every function the benchmark's tracer wraps is found by its name,
+    so deleting or renaming one fails here, not in a traced bench run."""
+    missing = []
+    for name, (module, qualname) in _bench_spans().SPANS.items():
+        target = importlib.import_module("hopfgal." + module)
+        for attr in qualname.split("."):
+            target = getattr(target, attr, None)
+        if target is None:
+            missing.append(name)
+    assert missing == []
+    group = importlib.import_module("hopfgal.freenil").FreeNilGroup
+    assert {"__init__", "tail"} <= set(vars(group))
+
+
+def test_bench_tracer_reads_hopf_results():
+    """The tracer's counters read provenance classes and subgroup sizes
+    off each HopfResult, for every n the one entry point takes."""
+    hopf = importlib.import_module("hopfgal.hopf")
+    tracer = _bench_spans().Tracer()
+    tracer.install()
+    try:
+        pres = hopf.NilPresentation(["x"], ["x^2"], 1)
+        for n in (0, 1, 2):
+            hopf.hopf_pi_n(pres, n)
+    finally:
+        tracer.uninstall()
+    counts = tracer.metrics()
+    assert counts["hopf.hopf_pi_n.calls"] == 3
+    assert counts["hopf.hopf_pi_n.working_classes"] == 1 + 1 + 2
+    assert counts["hopf.hopf_pi_n.numerator_gens"] > 0
+    assert counts["hopf.hopf_pi_n.denominator_gens"] > 0
