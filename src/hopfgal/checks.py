@@ -22,11 +22,11 @@ from .errors import ValidationError
 from .galois import GaloisContext, induced_gal_map, is_normal_ext, \
     is_trivial_ext
 from .groups import (Subgroup, closure_P, identity_hom, inner_automorphism,
-                     local_torsion_is_trivial,
+                     local_torsion_is_trivial, minimal_generating_indices,
                      surjections_up_to_precomposition)
 from .freenil import free_nil_group
 from .hopf import NilPresentation, hopf_pi_n
-from .matrices import IntMatrix, bareiss_det, hnf, snf
+from .matrices import IntMatrix, bareiss_det, hnf, snf, snf_diagonal
 
 
 class CheckReport:
@@ -337,17 +337,28 @@ def check_matrix_forms(count=120, seed=20260814):
 
 
 def check_bar_differential(max_order=8, top_degree=3):
-    """d after d vanishes on the normalized bar complex."""
+    """d after d vanishes on the normalized bar complex, and the rows of
+    d_{n+1} that start with a generator have the invariant factors of
+    all its rows (the lemma `bar.homology` rests on).  Each (group,
+    degree) is one case that checks both."""
     report = CheckReport("bar")
     groups = [G for _, G in corpus_up_to(max_order)]
     for G in groups:
+        gens = minimal_generating_indices(G)
         # the degree-4 boundary of an order-8 group is already a
         # 2401 x 343 matrix; cap the degree where the basis explodes
         top = top_degree if G.order <= 6 else min(top_degree, 2)
         for n in range(1, top + 1):
-            dd = bar_boundary(G, n + 1).mul(bar_boundary(G, n))
-            report.record(dd == IntMatrix.zero(dd.rows, dd.cols),
-                          "d.d != 0 on %r at degree %d" % (G, n + 1))
+            d_up = bar_boundary(G, n + 1)
+            dd = d_up.mul(bar_boundary(G, n))
+            detail = None
+            if dd != IntMatrix.zero(dd.rows, dd.cols):
+                detail = "d.d != 0 on %r at degree %d" % (G, n + 1)
+            elif snf_diagonal(d_up) != snf_diagonal(
+                    bar_boundary(G, n + 1, gens)):
+                detail = ("generator-first rows of d_%d on %r have other "
+                          "invariant factors" % (n + 1, G))
+            report.record(detail is None, detail)
     return report
 
 

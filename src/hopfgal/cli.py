@@ -127,7 +127,8 @@ def _load_homology_inputs(args, report):
     A group, named or read from a file, is built only for the bar engine,
     and a product name is held to the bar bound of the degree before its
     table is built.  The Hopf engine reads no group: under `--method
-    hopf` a `--group` file is only read and digested.
+    hopf` a `--group` file is only read and digested.  An engine that
+    lacks its input is an error here, before either engine runs.
     """
     if not (args.named or args.presentation or args.group):
         raise ValidationError("need --named, --presentation or --group")
@@ -149,6 +150,13 @@ def _load_homology_inputs(args, report):
         report.inputs["group"] = _digest(obj)
         if bound is not None:
             group = group_from_json(obj, bound)
+    if args.method in ("hopf", "both") and pres is None:
+        raise ValidationError("the hopf engine needs a presentation "
+                              "(--presentation, or --named with a "
+                              "presented corpus group)")
+    if args.method in ("bar", "both") and group is None:
+        raise ValidationError("the bar engine needs a finite group "
+                              "(--named or --group)")
     return pres, group
 
 
@@ -161,10 +169,6 @@ def cmd_homology(args, argv):
     pres, group = _load_homology_inputs(args, report)
 
     if args.method in ("hopf", "both"):
-        if pres is None:
-            raise ValidationError("the hopf engine needs a presentation "
-                                  "(--presentation, or --named with a "
-                                  "presented corpus group)")
         started = time.time()
         result = hopf_pi_n(pres, args.degree - 1, primes)
         report.time("hopf", started)
@@ -173,9 +177,6 @@ def cmd_homology(args, argv):
         if result.stabilization == "UNSTABLE":
             report.ok = False
     if args.method in ("bar", "both"):
-        if group is None:
-            raise ValidationError("the bar engine needs a finite group "
-                                  "(--named or --group)")
         started = time.time()
         value = homology(group, args.degree, _env_max_order(None))
         if primes:

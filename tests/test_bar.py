@@ -8,12 +8,25 @@ from hopfgal.bar import (
     BarChainBasis, bar_boundary, homology, max_order_for,
 )
 from hopfgal.corpus import (
-    abelian, cyclic, dihedral, klein4, named_group, nilpotent_corpus,
-    quaternion8, symmetric,
+    abelian, cyclic, dihedral, full_corpus, klein4, named_group,
+    nilpotent_corpus, quaternion8, symmetric,
 )
 from hopfgal.errors import SizeLimitError, ValidationError
 from hopfgal.groups import FiniteGroup
 from hopfgal.matrices import IntMatrix, snf_diagonal
+
+
+def reference_full_homology(G, n, first=None):
+    """Homology from the rows of d_n and d_{n+1} whose first entry lies
+    in `first`; with None, from all their rows, the full-row route that
+    `homology` shortens to the rows that start with a generator."""
+    b_n = BarChainBasis(G, n).size
+    if b_n == 0:
+        return FgAbelianGroup.trivial()
+    rank_n = len(snf_diagonal(bar_boundary(G, n, first)))
+    diag_up = snf_diagonal(bar_boundary(G, n + 1, first))
+    free = b_n - rank_n - len(diag_up)
+    return FgAbelianGroup(free, [d for d in diag_up if d > 1])
 
 
 def reference_unnormalized_homology(G, n):
@@ -208,4 +221,71 @@ def test_boundary_memory_follows_nonzeros():
     finally:
         tracemalloc.stop()
     assert d.shape == (14641, 1331)
+    assert peak < 40 * 2 ** 20, peak
+
+
+def _degrees_within_bounds(G):
+    return [n for n in (1, 2, 3) if G.order <= max_order_for(n)]
+
+
+_FULL_CORPUS = full_corpus()
+
+
+@pytest.mark.parametrize("name,G", _FULL_CORPUS,
+                         ids=[name for name, _ in _FULL_CORPUS])
+def test_generator_rows_match_full_rows(name, G):
+    for n in _degrees_within_bounds(G):
+        assert homology(G, n) == reference_full_homology(G, n), (name, n)
+
+
+@pytest.mark.parametrize("name", ["D6", "Q8", "S4"])
+def test_generator_rows_match_full_rows_on_relabelled_tables(name):
+    rng = random.Random(47)
+    G = named_group(name)
+    for _ in range(2):
+        H = _relabel(G, rng)
+        for n in _degrees_within_bounds(H):
+            assert homology(H, n) == reference_full_homology(H, n), (name, n)
+
+
+def test_rows_that_start_outside_a_generating_set_lose_the_lattice():
+    # the generating hypothesis is needed: one element of V4, or the
+    # rotations of D4, leave out part of im(d_{n+1})
+    V = klein4()
+    D = named_group("D4")
+    r = next(g for g in D.elements() if D.element_order(g) == 4)
+    rotations = [g for g in D.generated_subgroup([r]).members if g]
+    for G, first in ((V, [1]), (D, rotations)):
+        assert any(reference_full_homology(G, n, first) != homology(G, n)
+                   for n in (1, 2, 3))
+
+
+def test_first_rows_are_the_full_rows_that_start_there():
+    G = dihedral(3)
+    for n, first in ((1, [2]), (2, [1, 4]), (3, [5, 3])):
+        full = bar_boundary(G, n).to_rows()
+        want = [row for tup, row in zip(BarChainBasis(G, n), full)
+                if tup[0] in first]
+        assert bar_boundary(G, n, first).to_rows() == want
+    # max_basis counts the rows built
+    assert bar_boundary(cyclic(12), 3, [1], max_basis=1000).shape == \
+        (121, 121)
+    for first in ([0], [12], [1, 12]):
+        with pytest.raises(ValidationError):
+            bar_boundary(cyclic(12), 2, first)
+
+
+def test_reach_beyond_the_degree_bounds():
+    # Kunneth: H3(Z4 x Z4) = Z/4 + Z/4 + Tor(Z/4, Z/4), and
+    # H2(Z4 x Z8) = Z/4 (x) Z/8; with every row of d_4, Z4 x Z4 at degree
+    # 3 took 15.5 s and a 200 MB peak
+    tracemalloc.start()
+    try:
+        h3 = homology(abelian([4, 4]), 3, max_order=16)
+        h2 = homology(abelian([4, 8]), 2, max_order=32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h3 == FgAbelianGroup(0, [4, 4, 4])
+    assert h2 == FgAbelianGroup(0, [4])
     assert peak < 40 * 2 ** 20, peak

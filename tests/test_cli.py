@@ -128,6 +128,19 @@ class TestHomologyCommand:
         assert out == ""
         assert "presentation" in err
 
+    def test_bar_without_group_fails_before_any_engine_runs(
+            self, capsys, pres_file, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ran the hopf engine")
+
+        monkeypatch.setattr(cli, "hopf_pi_n", refuse)
+        code, out, err = run(
+            capsys, ["homology", "--presentation", pres_file,
+                     "--degree", "3", "--method", "both"])
+        assert code == 2 and out == ""
+        assert err == ("error: the bar engine needs a finite group "
+                       "(--named or --group)\n")
+
     def test_no_input_is_an_error(self, capsys):
         code, _, err = run(capsys, ["homology"])
         assert code == 2
