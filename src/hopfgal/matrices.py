@@ -7,8 +7,10 @@ has one row per relation, one column per generator.
 All arithmetic is arbitrary-precision.  An `IntMatrix` stores only its
 nonzero entries, row by row, so the bar oracle's boundary matrices (well
 under 1% nonzero) cost memory in proportion to their entries.  Invariant
-factors come from one sparse elimination for every matrix; the Hermite and
-Smith forms with transforms work on dense copies.
+factors come from one sparse elimination for every matrix, Hermite forms
+from one dense elimination that keeps no transform: transforms, kernels,
+solutions and lattice meets are read off the Hermite form of a block
+[mat | carry].  The Smith form with transforms is dense.
 
 The elimination takes unit pivots from the shortest rows first (length as
 read, then row index) and clears a unit's column in one pass.  The pivot
@@ -127,11 +129,54 @@ def _addmul_row(target, source, q):
             target[j] += q * s
 
 
+def _addmul_sparse(target, nz, q):
+    # target += q * the row whose nonzero (col, value) pairs are nz
+    if q:
+        for k, v in nz:
+            target[k] += q * v
+
+
+def _echelon(rows):
+    """Bring dense rows to Hermite normal form in place; no transform.
+
+    Positive pivots, entries above each in [0, pivot), zero rows last;
+    returns the pivot columns.  A column's pivot is its entry of least
+    absolute value (then the first row), with Euclid steps until it is
+    alone; a row operation walks the pivot row's nonzero entries only.
+    A caller appends columns (an identity block for a transform) to
+    carry the operations along; the elimination runs on through them.
+    """
+    m = len(rows)
+    pivots = []
+    for j in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        live = [i for i in range(r, m) if rows[i][j]]
+        while len(live) > 1:
+            i0 = min(live, key=lambda i: (abs(rows[i][j]), i))
+            nz = [(k, v) for k, v in enumerate(rows[i0][j:], j) if v]
+            for i in live:
+                if i != i0:
+                    _addmul_sparse(rows[i], nz, -(rows[i][j] // nz[0][1]))
+            live = [i for i in live if rows[i][j]]
+        if live:
+            prow = rows[live[0]]
+            if prow[j] < 0:
+                prow = [-v for v in prow]
+            rows[live[0]], rows[r] = rows[r], prow
+            nz = [(k, v) for k, v in enumerate(prow[j:], j) if v]
+            for row in rows[:r]:
+                if row[j]:
+                    _addmul_sparse(row, nz, -(row[j] // prow[j]))
+            pivots.append(j)
+    return pivots
+
+
 def hnf(mat):
     """Row-style Hermite normal form.
 
     Returns (H, U) with H = U * mat, U unimodular, H in row echelon form with
-    positive pivots and the entries above each pivot reduced into [0, pivot).
+    positive pivots and the entries above each pivot reduced into [0, pivot):
+    the two halves of the Hermite form of [mat | I].
 
     >>> H, U = hnf(IntMatrix([[2, 0], [1, 1]]))
     >>> H.to_rows()
@@ -140,112 +185,72 @@ def hnf(mat):
     True
     """
     m, n = mat.shape
-    H = mat.to_rows()
-    U = IntMatrix.identity(m).to_rows()
-    r = 0
-    for j in range(n):
-        if r == m:
-            break
-        while True:
-            pivots = [i for i in range(r, m) if H[i][j]]
-            if not pivots:
-                break
-            i0 = min(pivots, key=lambda i: (abs(H[i][j]), i))
-            if i0 != r:
-                H[r], H[i0] = H[i0], H[r]
-                U[r], U[i0] = U[i0], U[r]
-            clean = True
-            a = H[r][j]
-            for i in range(r + 1, m):
-                if H[i][j]:
-                    q = H[i][j] // a
-                    if q:
-                        _addmul_row(H[i], H[r], -q)
-                        _addmul_row(U[i], U[r], -q)
-                    if H[i][j]:
-                        clean = False
-            if clean:
-                break
-        if H[r][j]:
-            if H[r][j] < 0:
-                H[r] = [-x for x in H[r]]
-                U[r] = [-x for x in U[r]]
-            a = H[r][j]
-            for i in range(r):
-                q = H[i][j] // a
-                if q:
-                    _addmul_row(H[i], H[r], -q)
-                    _addmul_row(U[i], U[r], -q)
-            r += 1
-    return IntMatrix(H, cols=n), IntMatrix(U, cols=m)
+    rows = [row + [int(i == k) for k in range(m)]
+            for i, row in enumerate(mat.to_rows())]
+    _echelon(rows)
+    return (IntMatrix([r[:n] for r in rows], cols=n),
+            IntMatrix([r[n:] for r in rows], cols=m))
 
 
-def left_kernel(mat):
-    """Basis of {x : x * mat = 0}, one basis vector per row."""
-    H, U = hnf(mat)
-    kern = [U.row(i) for i in range(mat.rows) if not H._nz[i]]
-    return IntMatrix(kern, cols=mat.rows)
+def left_kernel(mat, modulo=None):
+    """Hermite basis of {x : x * mat = 0}, or with `modulo` of
+    {x : x * mat in rowspan(modulo)}, one basis vector per row."""
+    carry = IntMatrix.identity(mat.rows)
+    if modulo is not None:
+        mat = mat.stack(modulo)
+        carry = carry.stack(IntMatrix.zero(modulo.rows, carry.cols))
+    return HnfSolver(mat, carry).kernel
 
 
 class HnfSolver:
-    """Prepared solver for x * mat = target: one Hermite form, many targets."""
+    """One Hermite form of [mat | carry], for many targets.
 
-    __slots__ = ("rows", "_hrows", "_urows", "_pivots")
+    Its rows span the pairs (x * mat, x * carry).  Those with a pivot in
+    mat's part hold there the Hermite basis `span` of rowspan(mat); the
+    others are zero there and hold the Hermite basis `kernel` of
+    {x * carry : x * mat = 0}.  The carry defaults to the identity.
+    """
 
-    def __init__(self, mat):
-        H, U = hnf(mat)
-        self.rows = mat.rows
-        self._hrows = H.to_rows()
-        self._urows = U.to_rows()
-        self._pivots = [(i, nz[0][0]) for i, nz in enumerate(H._nz) if nz]
+    __slots__ = ("span", "kernel", "_pivots", "_carry_cols")
+
+    def __init__(self, mat, carry=None):
+        n = mat.cols
+        if carry is None:
+            carry = IntMatrix.identity(mat.rows)
+        rows = [r + c for r, c in zip(mat.to_rows(), carry.to_rows())]
+        pivots = _echelon(rows)
+        k = sum(j < n for j in pivots)
+        self._carry_cols = carry.cols
+        self._pivots = [[(c, v) for c, v in enumerate(rows[i][j:], j) if v]
+                        for i, j in enumerate(pivots[:k])]
+        self.span = IntMatrix([r[:n] for r in rows[:k]], cols=n)
+        self.kernel = IntMatrix([r[n:] for r in rows[k:len(pivots)]],
+                                cols=carry.cols)
 
     def solve(self, target):
-        """Coefficient row with coeffs * mat = target, or None."""
-        y = list(target)
-        coeff = [0] * self.rows
-        for i, j in self._pivots:
-            if y[j] % self._hrows[i][j]:
+        """x * carry for some x with x * mat = target, or None: reducing
+        (target | 0) by the `span` rows leaves (0 | -x * carry)."""
+        y = list(target) + [0] * self._carry_cols
+        for nz in self._pivots:
+            j, a = nz[0]
+            if y[j] % a:
                 return None
-            q = y[j] // self._hrows[i][j]
-            if q:
-                _addmul_row(y, self._hrows[i], -q)
-                _addmul_row(coeff, self._urows[i], q)
-        if any(y):
+            _addmul_sparse(y, nz, -(y[j] // a))
+        if any(y[:len(target)]):
             return None
-        return coeff
-
-
-def row_space_basis(mat):
-    """Nonzero rows of the Hermite form: a canonical basis of the row span."""
-    H, _ = hnf(mat)
-    return IntMatrix([r for r in H.to_rows() if any(r)], cols=mat.cols)
+        return [-v for v in y[len(target):]]
 
 
 def lattice_intersection(a, b):
-    """Basis of rowspan(a) /\\ rowspan(b)."""
-    if a.rows == 0 or b.rows == 0:
-        return IntMatrix([], cols=a.cols)
-    neg = IntMatrix([[-x for x in row] for row in b.to_rows()], cols=b.cols)
-    kern = left_kernel(a.stack(neg))
-    rows = [IntMatrix([k[:a.rows]], cols=a.rows).mul(a).row(0)
-            for k in kern.to_rows()]
-    return row_space_basis(IntMatrix(rows, cols=a.cols))
+    """Hermite basis of rowspan(a) /\\ rowspan(b): the kernel of
+    [a | a ; b | 0] (Zassenhaus; see pcseq.intersect)."""
+    carry = a.stack(IntMatrix.zero(b.rows, a.cols))
+    return HnfSolver(a.stack(b), carry).kernel
 
 
-def _swap_rows(A, U, i, j):
-    A[i], A[j] = A[j], A[i]
-    U[i], U[j] = U[j], U[i]
-
-
-def _swap_cols(A, V, i, j):
-    for row in A + V:
+def _swap_cols(W, i, j):
+    for row in W:
         row[i], row[j] = row[j], row[i]
-
-
-def _addmul_col(A, V, dst, src, q):
-    for row in A + V:
-        if row[src]:
-            row[dst] += q * row[src]
 
 
 def snf(mat):
@@ -254,7 +259,9 @@ def snf(mat):
     Returns (D, U, V) with D = U * mat * V diagonal, diagonal entries
     nonnegative and each dividing the next, U and V unimodular.  Pivots are
     chosen by minimal absolute value, ties by position, so output is a
-    deterministic function of the input.
+    deterministic function of the input.  The transforms ride along in
+    one dense block [mat | I ; I | 0]: row operations on its first m rows
+    carry U, column operations on its first n columns carry V.
 
     >>> D, U, V = snf(IntMatrix([[2, 4], [6, 8]]))
     >>> [D.entry(i, i) for i in range(2)]
@@ -263,14 +270,14 @@ def snf(mat):
     True
     """
     m, n = mat.shape
-    A = mat.to_rows()
-    U = IntMatrix.identity(m).to_rows()
-    V = IntMatrix.identity(n).to_rows()
+    W = [row + [int(i == k) for k in range(m)]
+         for i, row in enumerate(mat.to_rows())]
+    W.extend([int(i == k) for k in range(n)] + [0] * m for i in range(n))
     t = 0
     while True:
         best = None
         for i in range(t, m):
-            row = A[i]
+            row = W[i]
             for j in range(t, n):
                 v = row[j]
                 if v and (best is None or abs(v) < abs(best[2])):
@@ -281,44 +288,44 @@ def snf(mat):
             break
         bi, bj, _ = best
         if bi != t:
-            _swap_rows(A, U, t, bi)
+            W[t], W[bi] = W[bi], W[t]
         if bj != t:
-            _swap_cols(A, V, t, bj)
+            _swap_cols(W, t, bj)
         while True:
             # clear column t with row operations
             while True:
-                nz = [i for i in range(t + 1, m) if A[i][t]]
+                nz = [i for i in range(t + 1, m) if W[i][t]]
                 if not nz:
                     break
-                i0 = min(nz, key=lambda i: (abs(A[i][t]), i))
-                if abs(A[i0][t]) < abs(A[t][t]):
-                    _swap_rows(A, U, t, i0)
+                i0 = min(nz, key=lambda i: (abs(W[i][t]), i))
+                if abs(W[i0][t]) < abs(W[t][t]):
+                    W[t], W[i0] = W[i0], W[t]
                 for i in range(t + 1, m):
-                    if A[i][t]:
-                        q = A[i][t] // A[t][t]
+                    if W[i][t]:
+                        q = W[i][t] // W[t][t]
                         if q:
-                            _addmul_row(A[i], A[t], -q)
-                            _addmul_row(U[i], U[t], -q)
+                            _addmul_row(W[i], W[t], -q)
             # clear row t with column operations
             while True:
-                nz = [j for j in range(t + 1, n) if A[t][j]]
+                nz = [j for j in range(t + 1, n) if W[t][j]]
                 if not nz:
                     break
-                j0 = min(nz, key=lambda j: (abs(A[t][j]), j))
-                if abs(A[t][j0]) < abs(A[t][t]):
-                    _swap_cols(A, V, t, j0)
+                j0 = min(nz, key=lambda j: (abs(W[t][j]), j))
+                if abs(W[t][j0]) < abs(W[t][t]):
+                    _swap_cols(W, t, j0)
                 for j in range(t + 1, n):
-                    if A[t][j]:
-                        q = A[t][j] // A[t][t]
-                        if q:
-                            _addmul_col(A, V, j, t, -q)
-            if all(A[i][t] == 0 for i in range(t + 1, m)):
+                    if W[t][j]:
+                        q = W[t][j] // W[t][t]
+                        for row in W:
+                            if row[t]:
+                                row[j] -= q * row[t]
+            if all(W[i][t] == 0 for i in range(t + 1, m)):
                 break
         # enforce divisibility of the remaining block by the pivot
-        a = A[t][t]
+        a = W[t][t]
         culprit = None
         for i in range(t + 1, m):
-            row = A[i]
+            row = W[i]
             for j in range(t + 1, n):
                 if row[j] % a:
                     culprit = i
@@ -326,17 +333,17 @@ def snf(mat):
             if culprit is not None:
                 break
         if culprit is not None:
-            _addmul_row(A[t], A[culprit], 1)
-            _addmul_row(U[t], U[culprit], 1)
+            _addmul_row(W[t], W[culprit], 1)
             continue
         t += 1
         if t == m or t == n:
             break
     for i in range(min(m, n)):
-        if A[i][i] < 0:
-            A[i] = [-x for x in A[i]]
-            U[i] = [-x for x in U[i]]
-    return IntMatrix(A, cols=n), IntMatrix(U, cols=m), IntMatrix(V, cols=n)
+        if W[i][i] < 0:
+            W[i] = [-x for x in W[i]]
+    return (IntMatrix([r[:n] for r in W[:m]], cols=n),
+            IntMatrix([r[n:] for r in W[:m]], cols=m),
+            IntMatrix([r[:n] for r in W[m:]], cols=n))
 
 
 def divisibility_chain(values):

@@ -30,7 +30,7 @@ from .abelian import FgAbelianGroup, torsion_closure_rows
 from .errors import (InternalCheckError, NotAbelianError, NotNormalError,
                      NotSubsetError, SizeLimitError, ValidationError)
 from .matrices import (HnfSolver, IntMatrix, lattice_intersection,
-                       left_kernel, row_space_basis)
+                       left_kernel)
 
 
 def reduce_against(word, members, start=0):
@@ -413,6 +413,24 @@ def intersect(S, T):
     down, the recursive intersection V is lifted back, and the central
     defects of the two reductions define a homomorphism V -> Z/(Z_S+Z_T)
     whose kernel, corrected by explicit central witnesses, is S /\\ T.
+
+    A level's matrix work is two Hermite forms (Zassenhaus; Cohen, A
+    Course in Computational Algebraic Number Theory, 1993, ch. 2).  The
+    rows of [Z_S | Z_S ; Z_T | 0] span the pairs (a + b | a), a in Z_S,
+    b in Z_T.  Those with zero left half are the (0 | c), c in
+    Z_S /\\ Z_T, and a Hermite form writes them with its zero-left rows
+    alone (the first pivot of any other row would survive), so the
+    right halves of those rows are the Hermite basis of the meet: the
+    central witnesses.  The other rows' left halves are the Hermite
+    basis of Z_S + Z_T, and reducing (d | 0) by them leaves (0 | -a)
+    with d = a + b.  A lifted member of V with defects r_S, r_T and
+    d = r_S - r_T, times the central word a - r_S, has remainder a in
+    Z_S against S and -b in Z_T against T, so it lies in S /\\ T; two
+    splits of d differ by an element of the meet, a central witness, so
+    the closure does not depend on the split.  The zero-left rows of
+    [D | I ; Z_S + Z_T | 0], D the defects of V's members, are the
+    Hermite basis of {x : x D in Z_S + Z_T}: the exponents of the
+    products of V's members whose defect splits.
     """
     F = S.parent
     if T.parent is not F:
@@ -420,21 +438,18 @@ def intersect(S, T):
     if S.is_trivial() or T.is_trivial():
         return trivial_subgroup(F)
     weights = F.weights
-    m_total = len(F.letters)
-    top = [i for i in range(m_total) if weights[i] == F.nclass]
-    z_offset = m_total - len(top)
+    z_offset = len(weights) - weights.count(F.nclass)
 
     if F.nclass == 1:
-        rows_s = IntMatrix([list(m.exps) for m in S.seq], cols=m_total)
-        rows_t = IntMatrix([list(m.exps) for m in T.seq], cols=m_total)
-        meet = lattice_intersection(rows_s, rows_t)
+        meet = lattice_intersection(IntMatrix([list(m.exps) for m in S.seq]),
+                                    IntMatrix([list(m.exps) for m in T.seq]))
         return induced_sequence(F, [F.word(r) for r in meet.to_rows()])
 
     def split(P):
         low = {l: m for l, m in P._by_lead.items() if weights[l] < F.nclass}
         central = [list(m.exps[z_offset:]) for m in P.seq
                    if weights[m.leading()[0]] == F.nclass]
-        return low, IntMatrix(central, cols=len(top))
+        return low, IntMatrix(central, cols=len(weights) - z_offset)
 
     s_low, s_lat = split(S)
     t_low, t_lat = split(T)
@@ -449,49 +464,27 @@ def intersect(S, T):
         for r in (rs, rt):
             if not r.is_identity() and r.leading()[0] < z_offset:
                 raise InternalCheckError("reduction left a non-central part")
-        return (list(rs.exps[z_offset:]), list(rt.exps[z_offset:]))
+        rs = list(rs.exps[z_offset:])
+        return rs, [a - b for a, b in zip(rs, rt.exps[z_offset:])]
 
-    defects = []
-    for v in V.seq:
-        rs, rt = central_defect(F.lift_word(v))
-        defects.append([a - b for a, b in zip(rs, rt)])
-    dmat = IntMatrix(defects, cols=len(top))
-
-    lat_basis = row_space_basis(s_lat.stack(t_lat))
-    kern = left_kernel(dmat.stack(lat_basis))
-    xrows = row_space_basis(
-        IntMatrix([k[:len(V.seq)] for k in kern.to_rows()],
-                  cols=len(V.seq)))
+    glue = HnfSolver(s_lat.stack(t_lat),
+                     s_lat.stack(IntMatrix.zero(t_lat.rows, s_lat.cols)))
+    defects = [central_defect(F.lift_word(v))[1] for v in V.seq]
+    xrows = left_kernel(IntMatrix(defects, cols=s_lat.cols), glue.span)
 
     combo_gens = [_product(low_group, V.seq, x) for x in xrows.to_rows()]
     combo_gens.extend(derived_in(V).seq)
     M = induced_sequence(low_group, combo_gens)
 
-    stacked = s_lat.stack(t_lat)
-    solver = HnfSolver(stacked)
-    witnesses = []
+    witnesses = [F.word([0] * z_offset + c) for c in glue.kernel.to_rows()]
     for m in M.seq:
         lifted = F.lift_word(m)
-        rs, rt = central_defect(lifted)
-        target = [a - b for a, b in zip(rs, rt)]
-        x = solver.solve(target)
-        if x is None:
+        rs, d = central_defect(lifted)
+        a = glue.solve(d)
+        if a is None:
             raise InternalCheckError("central defect left the glue lattice")
-        a_part = [0] * len(top)
-        for coef, row in zip(x[:s_lat.rows], s_lat.to_rows()):
-            if coef:
-                for k in range(len(top)):
-                    a_part[k] += coef * row[k]
-        z = [a - r for a, r in zip(a_part, rs)]
-        exps = [0] * m_total
-        exps[z_offset:] = z
-        witnesses.append(lifted.mul(F.word(exps)))
-
-    central_rows = lattice_intersection(s_lat, t_lat)
-    for row in central_rows.to_rows():
-        exps = [0] * m_total
-        exps[z_offset:] = row
-        witnesses.append(F.word(exps))
+        z = [x - r for x, r in zip(a, rs)]
+        witnesses.append(lifted.mul(F.word([0] * z_offset + z)))
     return induced_sequence(F, witnesses)
 
 

@@ -6,7 +6,7 @@ from hopfgal.abelian import (
     FgAbelianGroup, PrimeSet, torsion_closure_rows, unimodular_inverse,
 )
 from hopfgal.errors import ValidationError
-from hopfgal.matrices import HnfSolver, IntMatrix, row_space_basis
+from hopfgal.matrices import HnfSolver, IntMatrix
 
 
 def test_prime_set_validation():
@@ -123,7 +123,7 @@ def test_torsion_closure_rows_gives_local_quotient():
         # of the local torsion part (a number of the set) kills it
         e = max(G.torsion_part(P).factors, default=1)
         assert P.is_number(e)
-        base = row_space_basis(rel)
+        base = HnfSolver(rel).span
         for row in extra.to_rows():
             assert HnfSolver(base).solve([e * x for x in row]) is not None
 

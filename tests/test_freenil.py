@@ -3,13 +3,16 @@ import random
 import pytest
 
 from hopfgal.checks import check_collection
+from hopfgal.corpus import PRESENTED
 from hopfgal.errors import (InternalCheckError, NotAbelianError,
                             NotNormalError, NotSubsetError, SizeLimitError,
                             ValidationError)
 from hopfgal.freenil import (FreeNilGroup, NilHom, _alg_comm, _alg_mul,
                              _alg_power, free_nil_group, witt_number)
 from hopfgal.groups import commutator_subgroup
-from hopfgal.matrices import IntMatrix, left_kernel
+from hopfgal.hopf import NilPresentation, build_presentation_cube
+from hopfgal.matrices import (HnfSolver, IntMatrix, lattice_intersection,
+                              left_kernel)
 from hopfgal import pcseq as pc
 
 
@@ -684,7 +687,99 @@ def reference_intersect_with_kernel(S):
     return pc.induced_sequence(F, gens)
 
 
+def reference_intersect(S, T):
+    """S /\\ T by the matrix route intersect took when each level ran four
+    Hermite forms: the span of the central blocks, a left kernel of the
+    defects stacked on that span and a Hermite form of its projection,
+    an HnfSolver on the stacked blocks to split each central defect, and
+    lattice_intersection for the central witnesses."""
+    F = S.parent
+    if S.is_trivial() or T.is_trivial():
+        return pc.trivial_subgroup(F)
+    weights = F.weights
+    m_total = len(F.letters)
+    top = [i for i in range(m_total) if weights[i] == F.nclass]
+    z_offset = m_total - len(top)
+    if F.nclass == 1:
+        rows_s = IntMatrix([list(m.exps) for m in S.seq], cols=m_total)
+        rows_t = IntMatrix([list(m.exps) for m in T.seq], cols=m_total)
+        meet = lattice_intersection(rows_s, rows_t)
+        return pc.induced_sequence(F, [F.word(r) for r in meet.to_rows()])
+
+    def split(P):
+        low = {m.leading()[0]: m for m in P.seq
+               if weights[m.leading()[0]] < F.nclass}
+        central = [list(m.exps[z_offset:]) for m in P.seq
+                   if weights[m.leading()[0]] == F.nclass]
+        return low, IntMatrix(central, cols=len(top))
+
+    s_low, s_lat = split(S)
+    t_low, t_lat = split(T)
+    low_group = F.truncated()
+    V = reference_intersect(pc.shadow(S, low_group), pc.shadow(T, low_group))
+
+    def central_defect(word):
+        _, rs = pc.reduce_against(word, s_low)
+        _, rt = pc.reduce_against(word, t_low)
+        for r in (rs, rt):
+            assert r.is_identity() or r.leading()[0] >= z_offset
+        return [a - b for a, b in zip(rs.exps[z_offset:],
+                                      rt.exps[z_offset:])], rs
+
+    defects = [central_defect(F.lift_word(v))[0] for v in V.seq]
+    lat_basis = HnfSolver(s_lat.stack(t_lat)).span
+    kern = left_kernel(IntMatrix(defects, cols=len(top)).stack(lat_basis))
+    xrows = HnfSolver(IntMatrix([k[:len(V.seq)] for k in kern.to_rows()],
+                                cols=len(V.seq))).span
+    combo = [pc._product(low_group, V.seq, x) for x in xrows.to_rows()]
+    combo.extend(pc.derived_in(V).seq)
+    M = pc.induced_sequence(low_group, combo)
+
+    solver = HnfSolver(s_lat.stack(t_lat))
+    witnesses = []
+    for m in M.seq:
+        lifted = F.lift_word(m)
+        target, rs = central_defect(lifted)
+        x = solver.solve(target)
+        assert x is not None
+        a_part = IntMatrix([x[:s_lat.rows]], cols=s_lat.rows).mul(s_lat)
+        z = [a - r for a, r in zip(a_part.row(0), rs.exps[z_offset:])]
+        witnesses.append(lifted.mul(F.word([0] * z_offset + z)))
+    for row in lattice_intersection(s_lat, t_lat).to_rows():
+        witnesses.append(F.word([0] * z_offset + row))
+    return pc.induced_sequence(F, witnesses)
+
+
+def cube_kernels(name, k):
+    """K0 and K1 of the two-fold cube of a presented corpus group, built
+    at class k."""
+    _, _, gens, rels, nclass = next(row for row in PRESENTED
+                                    if row[0] == name)
+    cube = build_presentation_cube(NilPresentation(gens, rels, nclass), 2, k)
+    return cube.kernels
+
+
 class TestIntersection:
+    @pytest.mark.parametrize("rank,nclass", [(2, 4), (3, 3), (4, 3), (5, 3)])
+    def test_matches_reference_route_on_random_pairs(self, rank, nclass):
+        rng = random.Random(1000 * rank + nclass)
+        F = FreeNilGroup(rank, nclass)
+        for close in (pc.induced_sequence, pc.normal_closure) * 3:
+            S, T = (close(F, [random_word(F, rng, spread=2)
+                              for _ in range(rng.randint(2, 3))])
+                    for _ in range(2))
+            meet = pc.intersect(S, T)
+            assert meet.seq == reference_intersect(S, T).seq
+            assert pc.intersect(T, S) == meet
+
+    @pytest.mark.parametrize("name", ["Z2xZ2", "Z2xZ4", "Z3xZ3"])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_matches_reference_route_on_cube_kernels(self, name, k):
+        K0, K1 = cube_kernels(name, k)
+        meet = pc.intersect(K0, K1)
+        assert meet.seq == reference_intersect(K0, K1).seq
+        assert all(K0.contains(m) and K1.contains(m) for m in meet.seq)
+
     @pytest.mark.parametrize("rank,nclass", [(2, 4), (3, 3), (4, 3), (5, 3)])
     def test_suffix_matches_kernel_route(self, rank, nclass):
         rng = random.Random(100 * rank + nclass)

@@ -62,9 +62,9 @@ UNCALLED_BY_DESIGN = {
         "reference route: tests count Hall basis letters with it",
     "pcseq.derived_subgroup":
         "reference route: tests compare derived_in with this closed form",
-    "galois.galois_groupoid": "ROADMAP item 2 runs it on Schur covers",
-    "galois.normal_radical_check": "ROADMAP item 2 runs it on Schur covers",
-    "pcseq.materialize_quotient": "ROADMAP item 2 builds Schur covers with it",
+    "galois.galois_groupoid": "ROADMAP item 4 runs it on Schur covers",
+    "galois.normal_radical_check": "ROADMAP item 4 runs it on Schur covers",
+    "pcseq.materialize_quotient": "ROADMAP item 4 builds Schur covers with it",
 }
 
 

@@ -4,12 +4,173 @@ import pytest
 
 from hopfgal.matrices import (
     HnfSolver, IntMatrix, hnf, snf, snf_diagonal, left_kernel,
-    row_space_basis, lattice_intersection, divisibility_chain, bareiss_det,
+    lattice_intersection, divisibility_chain, bareiss_det,
 )
 
 
 def is_unimodular(U):
     return abs(bareiss_det(U)) == 1
+
+
+def reference_hnf(mat):
+    """The Hermite loop hnf ran before it became the echelon of [mat | I]:
+    H and U as separate dense copies, each row operation applied to both."""
+    m, n = mat.shape
+    H = mat.to_rows()
+    U = IntMatrix.identity(m).to_rows()
+
+    def addmul(target, source, q):
+        for j, s in enumerate(source):
+            target[j] += q * s
+
+    r = 0
+    for j in range(n):
+        if r == m:
+            break
+        while True:
+            pivots = [i for i in range(r, m) if H[i][j]]
+            if not pivots:
+                break
+            i0 = min(pivots, key=lambda i: (abs(H[i][j]), i))
+            if i0 != r:
+                H[r], H[i0] = H[i0], H[r]
+                U[r], U[i0] = U[i0], U[r]
+            clean = True
+            a = H[r][j]
+            for i in range(r + 1, m):
+                if H[i][j]:
+                    q = H[i][j] // a
+                    if q:
+                        addmul(H[i], H[r], -q)
+                        addmul(U[i], U[r], -q)
+                    if H[i][j]:
+                        clean = False
+            if clean:
+                break
+        if H[r][j]:
+            if H[r][j] < 0:
+                H[r] = [-x for x in H[r]]
+                U[r] = [-x for x in U[r]]
+            a = H[r][j]
+            for i in range(r):
+                q = H[i][j] // a
+                if q:
+                    addmul(H[i], H[r], -q)
+                    addmul(U[i], U[r], -q)
+            r += 1
+    return IntMatrix(H, cols=n), IntMatrix(U, cols=m)
+
+
+def reference_span(mat):
+    """Nonzero rows of the reference Hermite form."""
+    H, _ = reference_hnf(mat)
+    return IntMatrix([row for row in H.to_rows() if any(row)], cols=mat.cols)
+
+
+def reference_kernel(mat):
+    """The rows of the reference transform that H sends to zero."""
+    H, U = reference_hnf(mat)
+    return IntMatrix([U.row(i) for i in range(mat.rows) if not any(H.row(i))],
+                     cols=mat.rows)
+
+
+def reference_lattice_intersection(a, b):
+    """The route lattice_intersection took before the Zassenhaus block:
+    the kernel of [a ; -b], its a-part times a, and a Hermite form."""
+    if a.rows == 0 or b.rows == 0:
+        return IntMatrix([], cols=a.cols)
+    neg = IntMatrix([[-x for x in row] for row in b.to_rows()], cols=b.cols)
+    kern = reference_kernel(a.stack(neg))
+    rows = [IntMatrix([k[:a.rows]], cols=a.rows).mul(a).row(0)
+            for k in kern.to_rows()]
+    return reference_span(IntMatrix(rows, cols=a.cols))
+
+
+def is_hermite(M):
+    """Echelon rows, no zero row, positive pivots, entries above each
+    pivot in [0, pivot)."""
+    rows = M.to_rows()
+    leads = [next((j for j, v in enumerate(row) if v), None) for row in rows]
+    if None in leads or leads != sorted(set(leads)):
+        return False
+    return all(rows[i][j] > 0 and all(0 <= rows[k][j] < rows[i][j]
+                                      for k in range(i))
+               for i, j in enumerate(leads))
+
+
+def random_matrix(rng, m, n):
+    """Entries of both signs, with some zero rows and zero columns."""
+    zero_rows = {i for i in range(m) if rng.random() < 0.2}
+    zero_cols = {j for j in range(n) if rng.random() < 0.2}
+    return IntMatrix([[0 if i in zero_rows or j in zero_cols
+                       else rng.randrange(-9, 10) for j in range(n)]
+                      for i in range(m)], cols=n)
+
+
+def test_hnf_matches_the_reference_loop():
+    rng = random.Random(23)
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1)] + [
+        (rng.randrange(1, 7), rng.randrange(1, 7)) for _ in range(300)]
+    negative_pivot = IntMatrix([[-2, 1, 0], [0, -3, 5], [-4, 0, -1]])
+    cases = [random_matrix(rng, m, n) for m, n in shapes] + [negative_pivot]
+    for M in cases:
+        H, U = hnf(M)
+        assert H == reference_hnf(M)[0]
+        assert U.mul(M) == H
+        assert is_unimodular(U)
+
+
+def test_left_kernel_is_the_hermite_basis_of_the_kernel():
+    rng = random.Random(24)
+    for _ in range(200):
+        M = random_matrix(rng, rng.randrange(0, 7), rng.randrange(0, 6))
+        K = left_kernel(M)
+        assert is_hermite(K)
+        assert K.mul(M) == IntMatrix.zero(K.rows, M.cols)
+        # the reference transform's kernel rows span the kernel, and the
+        # Hermite basis of a lattice is unique
+        assert K == reference_span(reference_kernel(M))
+
+
+def test_left_kernel_modulo_a_lattice():
+    # {x : x * D in rowspan(L)} is the projection of the kernel of [D; L]
+    rng = random.Random(25)
+    for _ in range(150):
+        n = rng.randrange(1, 5)
+        D = random_matrix(rng, rng.randrange(0, 5), n)
+        L = random_matrix(rng, rng.randrange(0, 4), n)
+        kern = reference_kernel(D.stack(L))
+        expect = reference_span(IntMatrix(
+            [row[:D.rows] for row in kern.to_rows()], cols=D.rows))
+        assert left_kernel(D, L) == expect
+
+
+def test_lattice_intersection_matches_the_old_route():
+    rng = random.Random(26)
+    for _ in range(200):
+        n = rng.randrange(1, 6)
+        A = random_matrix(rng, rng.randrange(0, 5), n)
+        B = random_matrix(rng, rng.randrange(0, 5), n)
+        expect = reference_lattice_intersection(A, B)
+        assert lattice_intersection(A, B) == expect
+
+
+def test_solver_with_a_carry_splits_a_sum():
+    # [A | A ; B | 0]: span is A + B, kernel is the meet, and solve(d)
+    # is an A-part a of d with d - a in B
+    rng = random.Random(27)
+    for _ in range(150):
+        n = rng.randrange(1, 5)
+        A = random_matrix(rng, rng.randrange(1, 4), n)
+        B = random_matrix(rng, rng.randrange(1, 4), n)
+        glue = HnfSolver(A.stack(B), A.stack(IntMatrix.zero(B.rows, n)))
+        assert glue.span == reference_span(A.stack(B))
+        assert glue.kernel == reference_lattice_intersection(A, B)
+        x = [rng.randrange(-4, 5) for _ in range(A.rows + B.rows)]
+        d = IntMatrix([x], cols=A.rows + B.rows).mul(A.stack(B)).row(0)
+        a = glue.solve(d)
+        assert HnfSolver(A).solve(a) is not None
+        assert HnfSolver(B).solve([u - v for u, v in zip(d, a)]) is not None
 
 
 def test_hnf_worked_example():
@@ -147,7 +308,7 @@ def test_rank_and_left_kernel():
         n = rng.randrange(1, 6)
         M = IntMatrix([[rng.randrange(-5, 6) for _ in range(n)]
                        for _ in range(m)])
-        r = row_space_basis(M).rows
+        r = HnfSolver(M).span.rows
         K = left_kernel(M)
         assert K.rows == m - r
         zero = IntMatrix.zero(1, n)
@@ -174,8 +335,8 @@ def test_hnf_solver_solves_left_systems():
             solved += 1
         else:
             # certificate of no solution: target outside the row span
-            aug = row_space_basis(M.stack(IntMatrix([target], cols=n)))
-            base = row_space_basis(M)
+            aug = HnfSolver(M.stack(IntMatrix([target], cols=n))).span
+            base = HnfSolver(M).span
             if aug.rows == base.rows:
                 # same rational span: solvability can only fail integrally
                 D, U, _ = snf(M)
@@ -207,7 +368,7 @@ def test_lattice_algebra():
         B = IntMatrix([[rng.randrange(-4, 5) for _ in range(n)]
                        for _ in range(rng.randrange(1, 4))])
         in_a, in_b = HnfSolver(A), HnfSolver(B)
-        in_sum = HnfSolver(row_space_basis(A.stack(B)))
+        in_sum = HnfSolver(HnfSolver(A.stack(B)).span)
         for row in A.to_rows() + B.to_rows():
             assert in_sum.solve(row) is not None
         I = lattice_intersection(A, B)
