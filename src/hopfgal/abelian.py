@@ -8,7 +8,7 @@ what every cross-check in the package ultimately compares.
 from __future__ import annotations
 
 from .errors import ValidationError
-from .matrices import IntMatrix, divisibility_chain, hnf, snf, snf_diagonal
+from .matrices import IntMatrix, divisibility_chain, left_kernel, snf_diagonal
 
 
 def _is_prime(n):
@@ -194,31 +194,23 @@ class FgAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def unimodular_inverse(V):
-    """Inverse of a unimodular integer matrix."""
-    H, U = hnf(V)
-    if H != IntMatrix.identity(V.rows):
-        raise ValidationError("matrix is not unimodular")
-    return U
-
-
 def torsion_closure_rows(n_gens, rel, primes):
     """Rows spanning the preimage in Z^n of the local torsion of Z^n / rel.
 
     An element of the quotient is local torsion when some number of the
     prime set kills it.  Returned rows, together with rel itself, generate
-    the full preimage lattice.
+    the full preimage lattice.  Let m be the local part of the largest
+    invariant factor of rel.  The local torsion is the sum of cyclic
+    groups whose orders are the local parts of the invariant factors,
+    each dividing m, so m kills every local torsion class; and what a
+    number of the set kills is local torsion.  The preimage is therefore
+    {x : m x in rowspan(rel)}, one Hermite kernel of m I modulo rel.
+    With m = 1 that is rowspan(rel) itself, and no rows are returned.
     """
-    if rel.rows == 0 or n_gens == 0:
+    diag = snf_diagonal(rel) if rel.rows and n_gens else []
+    m = primes.part_of(diag[-1]) if diag else 1
+    if m == 1:
         return IntMatrix([], cols=n_gens)
-    D, _, V = snf(rel)
-    Vinv = unimodular_inverse(V)
-    rows = []
-    for i in range(min(rel.rows, n_gens)):
-        d = D.entry(i, i)
-        if d == 0:
-            break
-        stripped = d // primes.part_of(d)
-        if stripped != d:
-            rows.append([stripped * x for x in Vinv.row(i)])
-    return IntMatrix(rows, cols=n_gens)
+    scaled = IntMatrix([[m * (i == j) for j in range(n_gens)]
+                        for i in range(n_gens)])
+    return left_kernel(scaled, modulo=rel)

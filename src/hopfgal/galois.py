@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .abelian import PrimeSet
 from .errors import InternalCheckError, ValidationError
-from .groups import (GroupHom, Subgroup, closure_P, commutator_subgroup,
+from .groups import (GroupHom, closure_P, commutator_subgroup,
                      local_torsion_is_trivial, pairing_hom, pullback)
 
 
@@ -163,89 +163,6 @@ def galois_group(ctx, p):
     return route1
 
 
-class GaloisGroupoid:
-    """The reflected kernel-pair groupoid of an extension.
-
-    `arrows` and `base` are the reflections of the kernel pair and the
-    domain; src/tgt/unit/inv are the reflected structure maps, and
-    (composable, left, right, comp) present reflected composition.
-    Structural laws are verified on construction.
-    """
-
-    __slots__ = ("base", "arrows", "src", "tgt", "unit", "inv",
-                 "composable", "left", "right", "comp")
-
-    def __init__(self, base, arrows, src, tgt, unit, inv,
-                 composable, left, right, comp):
-        self.base = base
-        self.arrows = arrows
-        self.src = src
-        self.tgt = tgt
-        self.unit = unit
-        self.inv = inv
-        self.composable = composable
-        self.left = left
-        self.right = right
-        self.comp = comp
-        ident_base = tuple(range(base.order))
-        ident_arrows = tuple(range(arrows.order))
-        if self.unit.then(self.src).mapping != ident_base or \
-                self.unit.then(self.tgt).mapping != ident_base:
-            raise InternalCheckError("unit arrows have wrong endpoints")
-        if self.inv.then(self.inv).mapping != ident_arrows:
-            raise InternalCheckError("inversion is not an involution")
-        if self.inv.then(self.src).mapping != self.tgt.mapping or \
-                self.inv.then(self.tgt).mapping != self.src.mapping:
-            raise InternalCheckError("inversion does not swap endpoints")
-        if self.comp.then(self.src).mapping != \
-                self.left.then(self.src).mapping or \
-                self.comp.then(self.tgt).mapping != \
-                self.right.then(self.tgt).mapping:
-            raise InternalCheckError("composition has wrong endpoints")
-
-
-def galois_groupoid(ctx, p):
-    """Build and verify the reflected groupoid of the extension p."""
-    _require_extension(p)
-    E = p.domain
-    P, pi1, pi2 = pullback(p, p)
-    index = _pair_index(P, pi1, pi2)
-    sigma = GroupHom(E, P, [index[(e, e)] for e in E.elements()],
-                     validate=False)
-    delta = GroupHom(P, P, [index[(pi2(x), pi1(x))] for x in P.elements()],
-                     validate=False)
-    Q, q1, q2 = pullback(pi2, pi1)
-    tau = GroupHom(Q, P, [index[(pi1(q1(z)), pi2(q2(z)))]
-                          for z in Q.elements()], validate=False)
-
-    # unit absorption and the inverse law hold exactly at group level;
-    # their reflected images then hold by functoriality, but check the
-    # group level identities here while everything is materialized
-    q_index = _pair_index(Q, q1, q2)
-    left_unit = GroupHom(P, Q, [q_index[(sigma(pi1(x)), x)]
-                                for x in P.elements()], validate=False)
-    right_unit = GroupHom(P, Q, [q_index[(x, sigma(pi2(x)))]
-                                 for x in P.elements()], validate=False)
-    ident_p = tuple(range(P.order))
-    if left_unit.then(tau).mapping != ident_p or \
-            right_unit.then(tau).mapping != ident_p:
-        raise InternalCheckError("kernel pair units do not absorb")
-    inv_law = GroupHom(P, Q, [q_index[(x, delta(x))] for x in P.elements()],
-                       validate=False)
-    if inv_law.then(tau).mapping != pi1.then(sigma).mapping:
-        raise InternalCheckError("kernel pair inverses fail")
-
-    IE, _ = ctx.reflect(E)
-    IP, _ = ctx.reflect(P)
-    IQ, _ = ctx.reflect(Q)
-    return GaloisGroupoid(
-        base=IE, arrows=IP,
-        src=ctx.induced(pi1), tgt=ctx.induced(pi2),
-        unit=ctx.induced(sigma), inv=ctx.induced(delta),
-        composable=IQ, left=ctx.induced(q1), right=ctx.induced(q2),
-        comp=ctx.induced(tau))
-
-
 def induced_gal_map(ctx, p, q, top, bottom):
     """The map on Galois radicals induced by a morphism of extensions.
 
@@ -269,33 +186,3 @@ def induced_gal_map(ctx, p, q, top, bottom):
             raise InternalCheckError("radical part not preserved")
         mapping.append(t_index[img])
     return GroupHom(Sg, Tg, mapping, validate=False)
-
-
-def normal_radical_check(ctx, f):
-    """The first-degree radical of an extension, computed two ways.
-
-    Route one projects the kernel-pair radical through the second leg.
-    The independent route is [Ker f, A] in the plain context, and the
-    local torsion of the (then necessarily central) kernel in the local
-    context.  Returns the resulting subgroup of the domain.
-    """
-    _require_extension(f)
-    A = f.domain
-    P, pi1, pi2 = pullback(f, f)
-    R = ctx.radical(P).intersection(pi1.kernel())
-    via_kernel_pair = pi2.image_of(R)
-
-    if ctx.primes is None:
-        expected = commutator_subgroup(f.kernel(), A.full_subgroup())
-    else:
-        ker = f.kernel()
-        if not ker.is_central():
-            raise ValidationError(
-                "the local radical comparison needs a central kernel")
-        expected = Subgroup(A, [k for k in ker.members
-                                if ctx.primes.is_number(A.element_order(k))],
-                            _checked=True)
-    if sorted(via_kernel_pair.members) != sorted(expected.members):
-        raise InternalCheckError(
-            "extension radical routes disagree on %r" % (f,))
-    return via_kernel_pair

@@ -375,11 +375,6 @@ class GroupHom:
                          if self.mapping[g] == 0],
                         _checked=True)
 
-    def image_of(self, sub):
-        return Subgroup(self.codomain,
-                        {self.mapping[g] for g in sub.members},
-                        _checked=True)
-
     def preimage_of(self, sub):
         ms = set(sub.members)
         return Subgroup(self.domain,

@@ -378,12 +378,15 @@ def evaluate_cube(cube, primes=None, k=None):
     intersection's sequence as its members of weight >= 2; since the
     ambient abelianization is free, this is also the full torsion
     preimage, so the same numerator serves every prime set.  The
-    denominator is the product of kernel-intersection commutators over
-    all splittings of the directions, enlarged to its torsion closure
-    when primes are given.  Both are formed at the cube's class and
-    shadowed to class k (default: the cube's class): the deeper
-    intersection refutes elements of the kernel intersection whose
-    defect is invisible at class k itself.
+    denominator is one normal closure (commutator_subgroup over pairs):
+    [K, Q] for the one-fold cube, K = R, and [K0 /\\ K1, Q] [K0, K1] for
+    the two-fold one (Brown and Ellis, Bull. LMS 20, 1988), where
+    [K0, K1] is the pair (relator generators, K1) because K0 is the
+    normal closure of the relator generators.  With primes given it is
+    enlarged to its torsion closure.  Both are formed at the cube's
+    class and shadowed to class k (default: the cube's class): the
+    deeper intersection refutes elements of the kernel intersection
+    whose defect is invisible at class k itself.
     """
     Q = cube.ambient
     K = cube.kernels[0]
@@ -391,12 +394,11 @@ def evaluate_cube(cube, primes=None, k=None):
         K = intersect(K, other)
     N = intersect_with_kernel(K)
     gens = [Q.generator(i) for i in range(Q.rank)]
-    D = commutator_subgroup(Q, gens, K)
+    pairs = [(gens, K)]
     if cube.n == 2:
-        # the first kernel is the normal closure of the relator generators
-        cross = commutator_subgroup(
-            Q, gens[cube.provenance["diagonal_rank"]:], cube.kernels[1])
-        D = normal_closure(Q, list(D.seq) + list(cross.seq))
+        pairs.append((gens[cube.provenance["diagonal_rank"]:],
+                      cube.kernels[1]))
+    D = commutator_subgroup(Q, pairs)
     low = free_nil_group(Q.rank, Q.nclass if k is None else k)
     N = shadow(N, low)
     D = shadow(D, low)

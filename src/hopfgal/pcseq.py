@@ -13,13 +13,15 @@ be skipped without computing it.
 
 One routine, _fill, closes a generating set into a sequence.  It fills
 one weight layer at a time and, when a layer is final, commutes its
-members with a set of acting words; its docstring proves the result
-full.  The callers differ only in what acts: the ambient generators for
-normal_closure, the subgroup's own members for derived_in, and the
+members with the acting words; its docstring proves the result full.
+The acting words are the ambient generators for normal_closure, and the
 members found so far for induced_sequence, which closes any generating
 set.  Every result ends in the same canonical box-reduced form, so two
 generating sets of one subgroup give the same sequence member for
-member.
+member.  Each subgroup the Hopf engine forms is one such fill or one
+elimination: a product of commutator subgroups is one normal closure,
+and each level of intersect is one fill of the products of members its
+eliminations find, which need no commutator subgroup added.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def induced_sequence(F, words):
     >>> [m.leading() for m in T.seq]
     [(0, 2), (1, 2), (2, 1)]
     """
-    return _fill(F, words, None)
+    return _fill(F, words, False)
 
 
 def trivial_subgroup(F):
@@ -211,33 +213,35 @@ def _box(layer, lead):
             layer[l] = reduce_against(layer[l], layer, lead)[1]
 
 
-def _fill(F, words, acting):
-    """The closure of `words` under `acting`, one weight layer at a time.
+def _fill(F, words, normal):
+    """The closure of `words`, one weight layer at a time: the normal
+    closure when `normal` is true, else the subgroup they generate.
 
-    `acting` is a list of words, or None for the members themselves.
-    Layer w holds the members whose leading letter has weight w.  Every
-    word waits on the layer of its leading weight, and layers are filled
-    lightest first, each from its sparsest waiting word up.  A word
-    entering layer w takes Euclid steps on its leading letter against the
-    member there; whenever a member changes, the layer is box-reduced
-    again, so no coordinate inside the layer grows.  A remainder that
-    leads deeper moves on to its own layer.  Once layer w is final,
-    [m, x] for each member m and each acting word x is sent on, unless
-    the leading weights of m and x add up past the class (then it is
-    trivial).  With the members themselves acting, x runs over the
-    members of the lighter layers and those before m in its own layer,
-    so each unordered pair is commuted once, when the heavier member is
-    final.  [m, x] lies in gamma_{w+1}, and nothing ever moves back to a
-    lighter layer, so one pass over the layers is the whole computation.
+    The acting words are the ambient generators when `normal` is true,
+    and the members themselves otherwise.  Layer w holds the members
+    whose leading letter has weight w.  Every word waits on the layer of
+    its leading weight, and layers are filled lightest first, each from
+    its sparsest waiting word up.  A word entering layer w takes Euclid
+    steps on its leading letter against the member there; whenever a
+    member changes, the layer is box-reduced again, so no coordinate
+    inside the layer grows.  A remainder that leads deeper moves on to
+    its own layer.  Once layer w is final, [m, x] for each member m and
+    each acting word x is sent on, unless the leading weights of m and x
+    add up past the class (then it is trivial).  With the members
+    acting, x runs over the members of the lighter layers and those
+    before m in its own layer, so each unordered pair is commuted once,
+    when the heavier member is final.  [m, x] lies in gamma_{w+1}, and
+    nothing ever moves back to a lighter layer, so one pass over the
+    layers is the whole computation.
 
     Why the result is the closure, as a full sequence.  Write A for the
-    acting words (with None: all final members), and let M_w be the
-    group generated by the members of layers w and deeper.  Every member
-    lies in the closure, being built from the words, commutators with A
-    and Euclid combinations of those; each word was inserted, and Euclid
-    steps keep the generated subgroup, so M_1 contains the words and
-    lies in the closure.  It is the closure once M_1 is normalised by A,
-    which follows going down from the class: assume M_{w+1} is
+    acting words (the generators, or all final members), and let M_w be
+    the group generated by the members of layers w and deeper.  Every
+    member lies in the closure, being built from the words, commutators
+    with A and Euclid combinations of those; each word was inserted, and
+    Euclid steps keep the generated subgroup, so M_1 contains the words
+    and lies in the closure.  It is the closure once M_1 is normalised
+    by A, which follows going down from the class: assume M_{w+1} is
     normalised by every x in A.
     For a member m of layer w, [m, x] (or its inverse [x, m], when x is
     the heavier member) was pushed into a layer deeper than w, so it lies
@@ -245,16 +249,16 @@ def _fill(F, words, acting):
     too (a subgroup of a finitely generated nilpotent group mapped into
     itself by conjugation with x is mapped onto itself, by the ascending
     chain condition).  A generates a group that contains every M_w (the
-    ambient group for normal_closure, S for derived_in, M_1 for
-    induced_sequence), so M_{w+1} is normal in M_w, and m commutes with
-    every element of M_w modulo M_{w+1}: M_w/M_{w+1} is abelian and
-    generated by the layer's members.  Their weight-w coordinate vectors
-    have distinct leading letters, so layer w embeds in
-    gamma_w/gamma_{w+1}, M_w meets gamma_{w+1} in M_{w+1}, and every
-    element of M_w is an ordered product of powers of the layer's
-    members times an element of M_{w+1}.  That is fullness.  Finally
-    each member is box-reduced against the deeper ones, which changes
-    no generated subgroup and makes the sequence canonical.
+    ambient group for normal_closure, M_1 for induced_sequence), so
+    M_{w+1} is normal in M_w, and m commutes with every element of M_w
+    modulo M_{w+1}: M_w/M_{w+1} is abelian and generated by the layer's
+    members.  Their weight-w coordinate vectors have distinct leading
+    letters, so layer w embeds in gamma_w/gamma_{w+1}, M_w meets
+    gamma_{w+1} in M_{w+1}, and every element of M_w is an ordered
+    product of powers of the layer's members times an element of
+    M_{w+1}.  That is fullness.  Finally each member is box-reduced
+    against the deeper ones, which changes no generated subgroup and
+    makes the sequence canonical.
     """
     weights = F.weights
     pending = [[] for _ in range(F.nclass + 1)]
@@ -268,8 +272,7 @@ def _fill(F, words, acting):
         if g.parent is not F:
             raise ValidationError("generator from a different ambient group")
         push(g)
-    if acting is not None:
-        acting = [(x, weights[x.leading()[0]]) for x in acting]
+    acting = [(F.generator(i), 1) for i in range(F.rank)]
     members = {}
     for w in range(1, F.nclass + 1):
         layer = {}
@@ -301,7 +304,7 @@ def _fill(F, words, acting):
         final = [(m, weights[l]) for l, m in members.items()]
         for l in sorted(layer):
             m = layer[l]
-            for x, wx in final if acting is None else acting:
+            for x, wx in acting if normal else final:
                 if w + wx <= F.nclass:
                     push(m.comm(x))
             final.append((m, w))
@@ -323,43 +326,31 @@ def normal_closure(F, words):
     >>> [m.leading() for m in R.seq]
     [(0, 2), (1, 2), (2, 2)]
     """
-    return _fill(F, words, [F.generator(i) for i in range(F.rank)])
+    return _fill(F, words, True)
 
 
-def derived_in(S):
-    """[S, S] for a sequence-presented subgroup S.
+def commutator_subgroup(F, pairs):
+    """The product of the [N, T] over `pairs` of (gens, T), for N the
+    normal closure of gens and T normal in F.
 
-    It is the normal closure in S of the commutators of S's members, so
-    the layer fill starts from those commutators with S's members acting.
-    """
-    F = S.parent
-    weights = F.weights
-    comms = []
-    for i, a in enumerate(S.seq):
-        wa = weights[a.leading()[0]]
-        for b in S.seq[i + 1:]:
-            if wa + weights[b.leading()[0]] <= F.nclass:
-                comms.append(a.comm(b))
-    return _fill(F, comms, S.seq)
-
-
-def commutator_subgroup(F, gens, T):
-    """[N, T] for N the normal closure of `gens` and T normal in F.
-
-    It is the normal closure of the [g, t] over g in `gens` and t in
-    T.seq (Robinson, A Course in the Theory of Groups, 5.1.7).  [N, T] is
-    normal and contains each [g, t].  Conversely, with [a, b] =
-    a^-1 b^-1 a b, the identities [g, ab] = [g, b] [g, a]^b and
-    [g, a^-1] = ([g, a]^(a^-1))^-1 put [g, t] in the closure C for every
-    t in T; then [g^y, t] = [g, t^(y^-1)]^y, with t^(y^-1) in T because T
-    is normal, puts [g^y, t] in C; and [ab, t] = [a, t]^b [b, t] extends
-    that to all of N, which the conjugates g^y generate.
+    It is one normal closure: that of the [g, t] over each pair's g in
+    gens and t in T.seq.  For one pair this is Robinson, A Course in the
+    Theory of Groups, 5.1.7.  [N, T] is normal and contains each [g, t].
+    Conversely, with [a, b] = a^-1 b^-1 a b, the identities
+    [g, ab] = [g, b] [g, a]^b and [g, a^-1] = ([g, a]^(a^-1))^-1 put
+    [g, t] in the closure C for every t in T; then
+    [g^y, t] = [g, t^(y^-1)]^y, with t^(y^-1) in T because T is normal,
+    puts [g^y, t] in C; and [ab, t] = [a, t]^b [b, t] extends that to
+    all of N, which the conjugates g^y generate.  For several pairs, a
+    product of normal subgroups is the normal closure of the union of
+    their generating sets: it is normal and contains the union, and the
+    closure of the union contains each factor.
 
     >>> from .freenil import FreeNilGroup
     >>> F = FreeNilGroup(2, 2)
     >>> x1, x2 = F.generator(0), F.generator(1)
     >>> R = normal_closure(F, [x1.pow(2), x2.pow(2), F.word((0, 0, 1))])
-    >>> RF = commutator_subgroup(F, [x1, x2], R)
+    >>> RF = commutator_subgroup(F, [([x1, x2], R)])
     >>> RF.contains(F.word((0, 0, 2)))   # [x1^2, x2] = c^2 in class 2
     True
     >>> RF.contains(F.word((0, 0, 1)))
@@ -367,12 +358,12 @@ def commutator_subgroup(F, gens, T):
     """
     weights = F.weights
     comms = []
-    for g in gens:
-        wg = weights[g.leading()[0]]
-        for t in T.seq:
-            if wg + weights[t.leading()[0]] > F.nclass:
-                continue
-            comms.append(g.comm(t))
+    for gens, T in pairs:
+        for g in gens:
+            wg = weights[g.leading()[0]]
+            for t in T.seq:
+                if wg + weights[t.leading()[0]] <= F.nclass:
+                    comms.append(g.comm(t))
     return normal_closure(F, comms)
 
 
@@ -413,6 +404,23 @@ def intersect(S, T):
     down, the recursive intersection V is lifted back, and the central
     defects of the two reductions define a homomorphism V -> Z/(Z_S+Z_T)
     whose kernel, corrected by explicit central witnesses, is S /\\ T.
+
+    That kernel K_V is generated by the products of V's members whose
+    defect splits; [V, V] needs no generators of its own.  The defect
+    map is a homomorphism to an abelian group, so the ordered product of
+    V's members with exponents x has defect x D (D the members'
+    defects), and K_V is the set of those products with x in
+    L = {x : x D in Z_S + Z_T}.  Let P_w be generated by the products
+    of the rows r_i of L's Hermite basis that pivot at a member of
+    weight >= w; members come in weight order, so those rows span the x
+    in L that vanish below weight w.  Claim: K_V /\\ gamma_w lies in
+    P_w.  Above the class it is trivial.  Going down, v in
+    K_V /\\ gamma_w is the product of an x in L that vanishes below
+    weight w (fullness), so x = sum c_i r_i over those rows.  Modulo
+    gamma_{w+1} the members of weight w commute and the deeper ones
+    vanish, so v = prod (product of r_i)^c_i * u with u in
+    K_V /\\ gamma_{w+1} (v and each product lie in K_V), inside P_{w+1}
+    and so in P_w.  At w = 1 this is K_V = P_1.
 
     A level's matrix work is two Hermite forms (Zassenhaus; Cohen, A
     Course in Computational Algebraic Number Theory, 1993, ch. 2).  The
@@ -472,9 +480,8 @@ def intersect(S, T):
     defects = [central_defect(F.lift_word(v))[1] for v in V.seq]
     xrows = left_kernel(IntMatrix(defects, cols=s_lat.cols), glue.span)
 
-    combo_gens = [_product(low_group, V.seq, x) for x in xrows.to_rows()]
-    combo_gens.extend(derived_in(V).seq)
-    M = induced_sequence(low_group, combo_gens)
+    M = induced_sequence(low_group, [_product(low_group, V.seq, x)
+                                     for x in xrows.to_rows()])
 
     witnesses = [F.word([0] * z_offset + c) for c in glue.kernel.to_rows()]
     for m in M.seq:

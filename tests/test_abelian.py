@@ -2,11 +2,30 @@ import random
 
 import pytest
 
-from hopfgal.abelian import (
-    FgAbelianGroup, PrimeSet, torsion_closure_rows, unimodular_inverse,
-)
+from hopfgal.abelian import FgAbelianGroup, PrimeSet, torsion_closure_rows
 from hopfgal.errors import ValidationError
-from hopfgal.matrices import HnfSolver, IntMatrix
+from hopfgal.matrices import HnfSolver, IntMatrix, hnf, snf
+
+
+def reference_torsion_closure_rows(n_gens, rel, primes):
+    """The Smith route torsion_closure_rows took before it became one
+    Hermite kernel: with D = U rel V, the rows of V^-1 are a basis in
+    which rel is diagonal, so d_i / (local part of d_i) times row i of
+    V^-1 is local torsion, and those rows with rel span the preimage."""
+    if rel.rows == 0 or n_gens == 0:
+        return IntMatrix([], cols=n_gens)
+    D, _, V = snf(rel)
+    H, Vinv = hnf(V)
+    assert H == IntMatrix.identity(V.rows)
+    rows = []
+    for i in range(min(rel.rows, n_gens)):
+        d = D.entry(i, i)
+        if d == 0:
+            break
+        stripped = d // primes.part_of(d)
+        if stripped != d:
+            rows.append([stripped * x for x in Vinv.row(i)])
+    return IntMatrix(rows, cols=n_gens)
 
 
 def test_prime_set_validation():
@@ -86,23 +105,6 @@ def test_from_relation_matrix():
         2, IntMatrix([], cols=2)) == FgAbelianGroup(2, [])
 
 
-def test_unimodular_inverse():
-    rng = random.Random(22)
-    for _ in range(50):
-        n = rng.randrange(1, 5)
-        # random unimodular: product of elementary row ops on identity
-        M = IntMatrix.identity(n).to_rows()
-        for _ in range(8):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i != j:
-                q = rng.randrange(-3, 4)
-                for k in range(n):
-                    M[i][k] += q * M[j][k]
-        U = IntMatrix(M)
-        Uinv = unimodular_inverse(U)
-        assert Uinv.mul(U) == IntMatrix.identity(n)
-
-
 def test_torsion_closure_rows_gives_local_quotient():
     rng = random.Random(23)
     all_primes = [2, 3, 5]
@@ -126,6 +128,20 @@ def test_torsion_closure_rows_gives_local_quotient():
         base = HnfSolver(rel).span
         for row in extra.to_rows():
             assert HnfSolver(base).solve([e * x for x in row]) is not None
+
+
+def test_torsion_closure_matches_the_smith_route():
+    rng = random.Random(24)
+    all_primes = [2, 3, 5]
+    for _ in range(150):
+        n = rng.randrange(1, 5)
+        rel = IntMatrix([[rng.randrange(-12, 13) for _ in range(n)]
+                        for _ in range(rng.randrange(0, 5))], cols=n)
+        P = PrimeSet(rng.sample(all_primes, rng.randrange(0, 4)))
+        want = reference_torsion_closure_rows(n, rel, P)
+        got = torsion_closure_rows(n, rel, P)
+        assert HnfSolver(rel.stack(got)).span == \
+            HnfSolver(rel.stack(want)).span
 
 
 def test_json_round_trip():

@@ -1,4 +1,3 @@
-import random
 import tracemalloc
 
 import pytest
@@ -7,9 +6,8 @@ from hopfgal.checks import check_centrality
 from hopfgal.corpus import cyclic, dihedral, klein4, quaternion8, symmetric
 from hopfgal.errors import ValidationError
 from hopfgal.galois import (GaloisContext, centralize, characterisation_normal,
-                            galois_group, galois_groupoid, induced_gal_map,
-                            is_normal_ext, is_trivial_ext,
-                            normal_radical_check)
+                            galois_group, induced_gal_map, is_normal_ext,
+                            is_trivial_ext)
 from hopfgal.groups import (GroupHom, all_homs, identity_hom,
                             inner_automorphism, pullback, surjections)
 
@@ -236,29 +234,6 @@ class TestGaloisGroup:
             galois_group(BASE, s3p)   # kernel not central
 
 
-class TestGroupoid:
-    def test_structure_maps_verify_on_construction(self):
-        _, _, proj = q8_over_v4()
-        gpd = galois_groupoid(BASE, proj)
-        assert gpd.base.order == 4
-        assert gpd.src.is_surjective() and gpd.tgt.is_surjective()
-        assert len(gpd.unit.kernel()) == 1
-        # a unit arrow is its own inverse
-        assert gpd.unit.then(gpd.inv).mapping == gpd.unit.mapping
-
-    def test_groupoid_over_local_context(self):
-        Z12 = cyclic(12)
-        p = next(iter(surjections(Z12, cyclic(4))))
-        gpd = galois_groupoid(AT2, p)
-        assert gpd.base.order == AT2.reflect(Z12)[0].order
-        assert gpd.comp.domain is gpd.composable
-
-    def test_arrow_count_matches_kernel_pair_reflection(self):
-        S3, C2, proj = s3_over_c2()
-        gpd = galois_groupoid(BASE, proj)
-        assert gpd.arrows.order % gpd.base.order == 0
-
-
 class TestInducedMaps:
     def test_induced_map_restricts_the_top_morphism(self):
         Q8, V4, proj = q8_over_v4()
@@ -288,43 +263,6 @@ class TestInducedMaps:
                     if len(h.kernel()) == 1 and h.mapping != tuple(range(4)))
         with pytest.raises(ValidationError):
             induced_gal_map(BASE, proj, proj, identity_hom(Q8), swap)
-
-
-class TestNormalRadical:
-    def test_central_kernel_has_trivial_plain_radical(self):
-        _, _, proj = q8_over_v4()
-        assert normal_radical_check(BASE, proj).members == (0,)
-
-    def test_symmetric_cover_radical_is_the_rotation_part(self):
-        S3, _, proj = s3_over_c2()
-        assert normal_radical_check(BASE, proj).members == \
-            S3.derived_subgroup().members
-
-    def test_local_radical_is_kernel_torsion(self):
-        Q8, _, proj = q8_over_v4()
-        assert normal_radical_check(AT2, proj).members == \
-            Q8.center().members
-
-    def test_local_route_requires_central_kernel(self):
-        _, _, proj = s3_over_c2()
-        with pytest.raises(ValidationError):
-            normal_radical_check(AT2, proj)
-
-    def test_random_small_extensions_agree_on_both_routes(self):
-        rng = random.Random(411)
-        pool = [cyclic(4), cyclic(6), cyclic(8), klein4(), dihedral(4),
-                quaternion8(), symmetric(3)]
-        quots = [cyclic(1), cyclic(2), cyclic(3), klein4()]
-        cases = []
-        for G in pool:
-            for B in quots:
-                cases.extend((G, p) for p in surjections(G, B))
-        rng.shuffle(cases)
-        for G, p in cases[:40]:
-            sub = normal_radical_check(BASE, p)
-            assert sub.is_normal()
-            if p.kernel().is_central():
-                assert normal_radical_check(AT2, p).is_normal()
 
 
 def test_centrality_memory_follows_fibre_pairs():

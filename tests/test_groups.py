@@ -239,7 +239,6 @@ def test_hom_plumbing():
     Z3 = cyclic(3)
     f = GroupHom(Z6, Z3, [0, 1, 2, 0, 1, 2])
     assert f.kernel().members == (0, 3)
-    assert f.image_of(Z6.full_subgroup()).members == (0, 1, 2)
     assert f.is_surjective() and len(f.kernel()) == 2
     assert identity_hom(Z6).is_surjective() and \
         len(identity_hom(Z6).kernel()) == 1

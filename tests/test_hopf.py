@@ -5,6 +5,7 @@ import pytest
 
 from hopfgal.abelian import FgAbelianGroup, PrimeSet
 from hopfgal import checks
+from hopfgal import pcseq as pc
 from hopfgal.bar import homology
 from hopfgal.corpus import (PRESENTED, TRIVIAL_PRESENTED, abelian, cyclic,
                             klein4, named_group)
@@ -30,6 +31,49 @@ def pres_d4():
 
 def pres_q8():
     return NilPresentation(["a", "b"], ["a^4", "a^2b^2", "[a,b]a^2"], 2)
+
+
+def pres_q8_pruned():
+    # a^4 follows from the other two relators, so this is Q8 too, on a
+    # rank-4 pullback cover instead of rank 5
+    return NilPresentation(["a", "b"], ["a^2b^2", "[a,b]a^2"], 2)
+
+
+def reference_commutator_subgroup(F, gens, T):
+    """[N, T] for N the normal closure of `gens`: one closure per pair,
+    as commutator_subgroup took one (gens, T) at a time."""
+    w = F.weights
+    return pc.normal_closure(F, [
+        g.comm(t) for g in gens for t in T.seq
+        if w[g.leading()[0]] + w[t.leading()[0]] <= F.nclass])
+
+
+def reference_denominator(cube):
+    """The two-fold denominator [K0 /\\ K1, Q] [K0, K1] by three
+    closures, as evaluate_cube formed it before it took one: each factor
+    apart, then the normal closure of both sequences."""
+    Q = cube.ambient
+    K0, K1 = cube.kernels
+    gens = [Q.generator(i) for i in range(Q.rank)]
+    D = reference_commutator_subgroup(Q, gens, pc.intersect(K0, K1))
+    cross = reference_commutator_subgroup(
+        Q, gens[cube.provenance["diagonal_rank"]:], K1)
+    return pc.normal_closure(Q, list(D.seq) + list(cross.seq))
+
+
+def one_closure_denominator(cube):
+    """The same denominator as evaluate_cube forms it: one closure over
+    the pairs (generators, K0 /\\ K1) and (relator generators, K1)."""
+    Q = cube.ambient
+    K0, K1 = cube.kernels
+    gens = [Q.generator(i) for i in range(Q.rank)]
+    return pc.commutator_subgroup(Q, [
+        (gens, pc.intersect(K0, K1)),
+        (gens[cube.provenance["diagonal_rank"]:], K1)])
+
+
+def subgroup_info(S):
+    return {"generators": len(S.seq), "leading_weights": S.leading_weights()}
 
 
 class TestWordSyntax:
@@ -244,6 +288,30 @@ class TestCubes:
         assert value.factors == (2,)
         assert num["generators"] >= 1
         assert den["generators"] >= 1
+
+
+class TestDenominator:
+    # cubes built at classes 3 and 4: those hopf_pi_n evaluates at
+    # working classes 2 and 3 for these class-1 presentations
+    @pytest.mark.parametrize("name", ["Z2xZ2", "Z2xZ4", "Z3xZ3"])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_one_closure_matches_three(self, name, k):
+        cube = build_presentation_cube(checks.presentation_for(name), 2, k)
+        ref = reference_denominator(cube)
+        assert one_closure_denominator(cube) == ref
+        assert evaluate_cube(cube)[2] == subgroup_info(ref)
+
+    def test_class_two_cube_reaches_the_cross_term(self):
+        # Q8 gives Z/4 at working class 3 and its H3 = Z/8 from class 4
+        p = pres_q8_pruned()
+        for k, order in ((3, 4), (4, 8)):
+            cube = build_presentation_cube(p, 2, k + 1)
+            value, _, den = evaluate_cube(cube, k=k)
+            assert value == FgAbelianGroup(0, [order])
+            ref = reference_denominator(cube)
+            assert one_closure_denominator(cube) == ref
+            low = free_nil_group(cube.ambient.rank, k)
+            assert den == subgroup_info(pc.shadow(ref, low))
 
 
 class TestSharedGroups:

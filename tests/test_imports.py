@@ -61,10 +61,11 @@ UNCALLED_BY_DESIGN = {
     "freenil.witt_number":
         "reference route: tests count Hall basis letters with it",
     "pcseq.derived_subgroup":
-        "reference route: tests compare derived_in with this closed form",
-    "galois.galois_groupoid": "ROADMAP item 4 runs it on Schur covers",
-    "galois.normal_radical_check": "ROADMAP item 4 runs it on Schur covers",
-    "pcseq.materialize_quotient": "ROADMAP item 4 builds Schur covers with it",
+        "reference route: tests compare the member commutators of the "
+        "whole group with this closed form",
+    "pcseq.materialize_quotient":
+        "ROADMAP items 2 and 3 certify presentations and build tables "
+        "with it",
 }
 
 
@@ -222,6 +223,28 @@ def test_dense_word_vectors_are_read_only_where_allowed():
         "dense word vectors read outside the allow-list"
     assert set(DENSE_READS_BY_DESIGN) - found == set(), \
         "stale entries: these sites no longer read a dense vector"
+
+
+# The dense forms with transforms stay as references for the elimination
+# that replaced them; in src/ only the check of their defining equations
+# calls them, so they cannot creep back into abelian or pcseq.
+DENSE_FORMS = ("snf", "hnf", "bareiss_det")
+DENSE_FORM_CALLERS = {"checks.check_matrix_forms"}
+
+
+def test_dense_forms_are_called_only_by_their_check():
+    """A call counts by its function's name, bare or as an attribute."""
+    found = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope, node in _scopes(tree):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call):
+                    func = sub.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    if name in DENSE_FORMS:
+                        found.add("%s.%s" % (path.stem, scope))
+    assert found == DENSE_FORM_CALLERS
 
 
 # ---- the benchmark's tracer ------------------------------------------------
