@@ -16,8 +16,9 @@ the same kind of quotient is taken over both kernels.  Truncation is
 not exact there, and it fails in a specific way: the intersection of
 the two kernels at class k admits elements whose defect only shows
 above class k (the obstruction word has higher weight).  So the
-numerator and denominator are generated one class deeper and then
-shadowed down to the working class before the quotient is formed.  No
+kernels are met one class deeper, and the numerator and denominator
+are formed at the working class from the image of that meet, which the
+deeper intersection's top level gives without lifting it.  No
 exactness is claimed even then; the value is recomputed at the next
 working class and only reported when two consecutive classes agree.
 """
@@ -32,8 +33,8 @@ from .errors import SizeLimitError, ValidationError
 from .freenil import NilHom, free_nil_group
 from .matrices import IntMatrix
 from .pcseq import (abelian_quotient, commutator_subgroup, intersect,
-                    intersect_with_kernel, letter_span, normal_closure,
-                    shadow, torsion_closure_in)
+                    intersect_with_kernel, letter_span, meet_image,
+                    normal_closure, shadow, torsion_closure_in)
 
 DEFAULT_MAX_CLASS = 4
 DEFAULT_RANK_CAP = 8
@@ -371,39 +372,57 @@ def _subgroup_info(S):
 
 
 def evaluate_cube(cube, primes=None, k=None):
-    """One Hopf quotient of a cube, shadowed down to working class k.
+    """One Hopf quotient of a cube, formed at working class k (default:
+    the cube's class b).
 
-    Returns (value, numerator info, denominator info).  The numerator is
-    the derived subgroup met with all kernels, read off the kernel
-    intersection's sequence as its members of weight >= 2; since the
-    ambient abelianization is free, this is also the full torsion
-    preimage, so the same numerator serves every prime set.  The
-    denominator is one normal closure (commutator_subgroup over pairs):
-    [K, Q] for the one-fold cube, K = R, and [K0 /\\ K1, Q] [K0, K1] for
-    the two-fold one (Brown and Ellis, Bull. LMS 20, 1988), where
-    [K0, K1] is the pair (relator generators, K1) because K0 is the
-    normal closure of the relator generators.  With primes given it is
-    enlarged to its torsion closure.  Both are formed at the cube's
-    class and shadowed to class k (default: the cube's class): the
-    deeper intersection refutes elements of the kernel intersection
-    whose defect is invisible at class k itself.
+    Returns (value, numerator info, denominator info).  Write Q for the
+    cube's ambient, f: Q -> Q_k for the truncation to class k, and K for
+    the meet of the kernels, K = R for the one-fold cube and K0 /\\ K1
+    for the two-fold one.  Every subgroup is formed in Q_k from
+    K_k = f(K): the one kernel shadowed down, or for two kernels
+    meet_image(K0, K1) shadowed down when k < b (intersect's top level,
+    which stops short of the lift to class b), and intersect(K0, K1)
+    when k = b.
+
+    - The numerator is f(K /\\ [Q, Q]) = K_k /\\ [Q_k, Q_k].  The kernel
+      of f is gamma_{k+1}, inside [Q, Q]; so if f(a) = f(c) with a in
+      K and c in [Q, Q], then a lies in c gamma_{k+1}, inside [Q, Q],
+      and f(a) is the image of an element of K /\\ [Q, Q].  It is read
+      off K_k's sequence as its members of weight >= 2; since the
+      ambient abelianization is free, this is also the full torsion
+      preimage, so the same numerator serves every prime set.
+    - The denominator is one normal closure (commutator_subgroup over
+      pairs): [K, Q] for the one-fold cube, and [K0 /\\ K1, Q] [K0, K1]
+      for the two-fold one (Brown and Ellis, Bull. LMS 20, 1988), where
+      [K0, K1] is the pair (relator generators, K1) because K0 is the
+      normal closure of the relator generators.  Under the surjection f
+      commutator subgroups and products map onto the commutator
+      subgroups and products of the images, so its image is the same
+      closure in Q_k over K_k and f(K1).
+    - With primes given the denominator is enlarged to its torsion
+      closure inside K_k.
+
+    So each subgroup is the image of the one formed at class b, and
+    canonical sequences make it that one's shadow, member for member.
+    What is computed is thus f(N)/f(D) for the class-b numerator N and
+    denominator D.  f(K) can be smaller than the meet of the kernels
+    formed at class k, but no depth b - k is proven to make the value
+    H3; hopf_pi_n only compares consecutive working classes.
     """
     Q = cube.ambient
-    K = cube.kernels[0]
-    for other in cube.kernels[1:]:
-        K = intersect(K, other)
-    N = intersect_with_kernel(K)
-    gens = [Q.generator(i) for i in range(Q.rank)]
-    pairs = [(gens, K)]
-    if cube.n == 2:
-        pairs.append((gens[cube.provenance["diagonal_rank"]:],
-                      cube.kernels[1]))
-    D = commutator_subgroup(Q, pairs)
     low = free_nil_group(Q.rank, Q.nclass if k is None else k)
-    N = shadow(N, low)
-    D = shadow(D, low)
+    gens = [low.generator(i) for i in range(low.rank)]
+    K, cross = cube.kernels[0], []
+    if cube.n == 2:
+        K0, K1 = cube.kernels
+        K = intersect(K0, K1) if low is Q else meet_image(K0, K1)
+        cross.append((gens[cube.provenance["diagonal_rank"]:],
+                      shadow(K1, low)))
+    K = shadow(K, low)
+    N = intersect_with_kernel(K)
+    D = commutator_subgroup(low, [(gens, K)] + cross)
     if primes is not None and primes.primes:
-        D = torsion_closure_in(shadow(K, low), D, primes)
+        D = torsion_closure_in(K, D, primes)
     value = abelian_quotient(N, D)
     return value, _subgroup_info(N), _subgroup_info(D)
 
@@ -463,11 +482,12 @@ def hopf_pi_n(pres, n, primes=None, max_class=DEFAULT_MAX_CLASS,
     Hopf quotient of subgroups, so numerator and denominator are None.
     n=1 is the Hopf quotient, exact at class c+1; with primes it is
     computed from the closed denominator, not by quotienting the plain
-    answer.  For n=2 the shadowed quotient is evaluated at consecutive
-    working classes until two agree (each evaluation builds one class
-    deeper than it reports); an agreement is reported STABLE,
-    exhaustion of the class budget yields an UNSTABLE result whose
-    value is None.  An UNSTABLE result is never a number: the caller
+    answer.  For n=2 the quotient is evaluated at consecutive working
+    classes until two agree (each evaluation builds its cube one class
+    deeper than it reports and forms the quotient at the reported class
+    from the image of the deeper kernel meet); an agreement is reported
+    STABLE, exhaustion of the class budget yields an UNSTABLE result
+    whose value is None.  An UNSTABLE result is never a number: the caller
     gets the verdict, not a guess.
     """
     if n not in (0, 1, 2):

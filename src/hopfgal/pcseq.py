@@ -19,9 +19,12 @@ members found so far for induced_sequence, which closes any generating
 set.  Every result ends in the same canonical box-reduced form, so two
 generating sets of one subgroup give the same sequence member for
 member.  Each subgroup the Hopf engine forms is one such fill or one
-elimination: a product of commutator subgroups is one normal closure,
-and each level of intersect is one fill of the products of members its
-eliminations find, which need no commutator subgroup added.
+elimination, at the class it reports: a product of commutator
+subgroups is one normal closure, and each level of intersect is one
+fill of the products of members its eliminations find, which need no
+commutator subgroup added.  meet_image is intersect's top level without
+the lift, so it gives the meet's image one class down at the cost of
+the meet there.
 """
 
 from __future__ import annotations
@@ -396,6 +399,32 @@ def intersect_with_kernel(S):
                       _checked=True)
 
 
+def meet_image(S, T):
+    """The image of S /\\ T in F.truncated(), for F the ambient of both.
+
+    It is intersect's top level without the lift: the subgroup M of
+    liftable products in V, the meet of the images one class down.  Each
+    member of M lifts, times a central word, into S /\\ T, so M lies in
+    the image.  Conversely, for s in S /\\ T the zero-padded lift of
+    its image v is s times a central word z, so the central defects of
+    that lift are those of s less z on both sides: their difference
+    splits, v lies in M, and M is the image.  Raises ValidationError at
+    class 1, which has no truncation.
+
+    >>> from .freenil import FreeNilGroup
+    >>> F = FreeNilGroup(2, 2)
+    >>> x1, x2 = F.generator(0), F.generator(1)
+    >>> S = normal_closure(F, [x1.pow(2)])
+    >>> T = normal_closure(F, [x1.pow(3), x2])
+    >>> [m.exps for m in meet_image(S, T).seq]
+    [(6, 0)]
+    """
+    M, _ = _meet_level(S, T)
+    if M is None:
+        raise ValidationError("class 1 has no truncation")
+    return M
+
+
 def intersect(S, T):
     """S /\\ T by downward recursion through the class filtration.
 
@@ -404,6 +433,8 @@ def intersect(S, T):
     down, the recursive intersection V is lifted back, and the central
     defects of the two reductions define a homomorphism V -> Z/(Z_S+Z_T)
     whose kernel, corrected by explicit central witnesses, is S /\\ T.
+    The top level's kernel is meet_image(S, T), the image of S /\\ T one
+    class down; intersect is that image lifted, plus the witnesses.
 
     That kernel K_V is generated by the products of V's members whose
     defect splits; [V, V] needs no generators of its own.  The defect
@@ -440,18 +471,22 @@ def intersect(S, T):
     Hermite basis of {x : x D in Z_S + Z_T}: the exponents of the
     products of V's members whose defect splits.
     """
+    _, witnesses = _meet_level(S, T)
+    return induced_sequence(S.parent, witnesses())
+
+
+def _meet_level(S, T):
+    """intersect's top level: (M, witnesses).
+
+    M is meet_image(S, T), or None at class 1, where there is no class
+    below.  witnesses() gives words that generate S /\\ T: the central
+    witnesses and each member of M lifted into S /\\ T.
+    """
     F = S.parent
     if T.parent is not F:
         raise ValidationError("subgroups of different ambient groups")
-    if S.is_trivial() or T.is_trivial():
-        return trivial_subgroup(F)
     weights = F.weights
     z_offset = len(weights) - weights.count(F.nclass)
-
-    if F.nclass == 1:
-        meet = lattice_intersection(IntMatrix([list(m.exps) for m in S.seq]),
-                                    IntMatrix([list(m.exps) for m in T.seq]))
-        return induced_sequence(F, [F.word(r) for r in meet.to_rows()])
 
     def split(P):
         low = {l: m for l, m in P._by_lead.items() if weights[l] < F.nclass}
@@ -461,7 +496,13 @@ def intersect(S, T):
 
     s_low, s_lat = split(S)
     t_low, t_lat = split(T)
+    if F.nclass == 1:
+        # every letter is central: the meet is the lattice meet
+        meet = lattice_intersection(s_lat, t_lat)
+        return None, lambda: [F.word(r) for r in meet.to_rows()]
     low_group = F.truncated()
+    if S.is_trivial() or T.is_trivial():
+        return trivial_subgroup(low_group), lambda: []
     V = intersect(shadow(S, low_group), shadow(T, low_group))
 
     def central_defect(word):
@@ -483,16 +524,20 @@ def intersect(S, T):
     M = induced_sequence(low_group, [_product(low_group, V.seq, x)
                                      for x in xrows.to_rows()])
 
-    witnesses = [F.word([0] * z_offset + c) for c in glue.kernel.to_rows()]
-    for m in M.seq:
-        lifted = F.lift_word(m)
-        rs, d = central_defect(lifted)
-        a = glue.solve(d)
-        if a is None:
-            raise InternalCheckError("central defect left the glue lattice")
-        z = [x - r for x, r in zip(a, rs)]
-        witnesses.append(lifted.mul(F.word([0] * z_offset + z)))
-    return induced_sequence(F, witnesses)
+    def witnesses():
+        out = [F.word([0] * z_offset + c) for c in glue.kernel.to_rows()]
+        for m in M.seq:
+            lifted = F.lift_word(m)
+            rs, d = central_defect(lifted)
+            a = glue.solve(d)
+            if a is None:
+                raise InternalCheckError(
+                    "central defect left the glue lattice")
+            z = [x - r for x, r in zip(a, rs)]
+            out.append(lifted.mul(F.word([0] * z_offset + z)))
+        return out
+
+    return M, witnesses
 
 
 def abelian_quotient(N, D):

@@ -778,16 +778,22 @@ def cube_kernels(name, k):
     return cube.kernels
 
 
+def random_subgroup_pairs(rank, nclass):
+    """Six seeded pairs of subgroups of F(rank, nclass), closed in turn
+    as subgroups and as normal closures."""
+    rng = random.Random(1000 * rank + nclass)
+    F = FreeNilGroup(rank, nclass)
+    for close in (pc.induced_sequence, pc.normal_closure) * 3:
+        yield tuple(close(F, [random_word(F, rng, spread=2)
+                              for _ in range(rng.randint(2, 3))])
+                    for _ in range(2))
+
+
 class TestIntersection:
     @pytest.mark.parametrize("rank,nclass",
                              [(2, 4), (3, 3), (4, 3), (5, 3), (2, 5)])
     def test_matches_reference_route_on_random_pairs(self, rank, nclass):
-        rng = random.Random(1000 * rank + nclass)
-        F = FreeNilGroup(rank, nclass)
-        for close in (pc.induced_sequence, pc.normal_closure) * 3:
-            S, T = (close(F, [random_word(F, rng, spread=2)
-                              for _ in range(rng.randint(2, 3))])
-                    for _ in range(2))
+        for S, T in random_subgroup_pairs(rank, nclass):
             meet = pc.intersect(S, T)
             assert meet.seq == reference_intersect(S, T).seq
             assert pc.intersect(T, S) == meet
@@ -847,10 +853,42 @@ class TestIntersection:
         assert pc.intersect(S, whole_group(F)) == S
 
     def test_trivial_cases(self):
-        F = FreeNilGroup(2, 2)
+        for nclass in (1, 2):
+            F = FreeNilGroup(2, nclass)
+            S = pc.induced_sequence(F, [F.generator(0)])
+            assert pc.intersect(S, pc.trivial_subgroup(F)).is_trivial()
+            assert pc.intersect(pc.trivial_subgroup(F), S).is_trivial()
+
+
+class TestMeetImage:
+    @pytest.mark.parametrize("rank,nclass", [(2, 4), (3, 3), (3, 4), (2, 5)])
+    def test_is_the_meet_shadowed_on_random_pairs(self, rank, nclass):
+        for S, T in random_subgroup_pairs(rank, nclass):
+            low = S.parent.truncated()
+            assert pc.meet_image(S, T) == pc.shadow(pc.intersect(S, T), low)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_is_the_meet_shadowed_on_v4_cube_kernels(self, k):
+        K0, K1 = cube_kernels("Z2xZ2", k)
+        image = pc.meet_image(K0, K1)
+        low = K0.parent.truncated()
+        assert image == pc.shadow(pc.intersect(K0, K1), low)
+        # a proper subgroup of the meet formed one class down
+        below = pc.intersect(pc.shadow(K0, low), pc.shadow(K1, low))
+        assert below.contains_subgroup(image) and image != below
+
+    def test_trivial_input_gives_the_trivial_subgroup_below(self):
+        F = FreeNilGroup(2, 3)
         S = pc.induced_sequence(F, [F.generator(0)])
-        assert pc.intersect(S, pc.trivial_subgroup(F)).is_trivial()
-        assert pc.intersect(pc.trivial_subgroup(F), S).is_trivial()
+        for pair in ((S, pc.trivial_subgroup(F)), (pc.trivial_subgroup(F), S)):
+            image = pc.meet_image(*pair)
+            assert image.is_trivial() and image.parent is F.truncated()
+
+    def test_class_one_has_no_image_below(self):
+        F = FreeNilGroup(2, 1)
+        S = pc.induced_sequence(F, [F.generator(0)])
+        with pytest.raises(ValidationError):
+            pc.meet_image(S, S)
 
 
 class TestAbelianQuotient:

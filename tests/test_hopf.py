@@ -4,7 +4,7 @@ import math
 import pytest
 
 from hopfgal.abelian import FgAbelianGroup, PrimeSet
-from hopfgal import checks
+from hopfgal import checks, hopf
 from hopfgal import pcseq as pc
 from hopfgal.bar import homology
 from hopfgal.corpus import (PRESENTED, TRIVIAL_PRESENTED, abelian, cyclic,
@@ -74,6 +74,25 @@ def one_closure_denominator(cube):
 
 def subgroup_info(S):
     return {"generators": len(S.seq), "leading_weights": S.leading_weights()}
+
+
+def reference_evaluate_cube(cube, primes=None, k=None):
+    """A two-fold cube's (value, N, D) by the route evaluate_cube took
+    before it formed its subgroups at the working class: the full
+    intersect, numerator and denominator at the cube's class, then both
+    shadowed to class k."""
+    Q = cube.ambient
+    K0, K1 = cube.kernels
+    K = pc.intersect(K0, K1)
+    gens = [Q.generator(i) for i in range(Q.rank)]
+    D = pc.commutator_subgroup(Q, [
+        (gens, K), (gens[cube.provenance["diagonal_rank"]:], K1)])
+    low = free_nil_group(Q.rank, Q.nclass if k is None else k)
+    N = pc.shadow(pc.intersect_with_kernel(K), low)
+    D = pc.shadow(D, low)
+    if primes is not None:
+        D = pc.torsion_closure_in(pc.shadow(K, low), D, primes)
+    return pc.abelian_quotient(N, D), N, D
 
 
 class TestWordSyntax:
@@ -314,6 +333,56 @@ class TestDenominator:
             assert den == subgroup_info(pc.shadow(ref, low))
 
 
+# (name, class the cube is built at, working class)
+WORKING_CLASS_CASES = [
+    (name, b, k) for name in ("Z2xZ2", "Z2xZ4", "Z3xZ3")
+    for b, k in ((3, 2), (4, 3), (4, 2))] + [("Q8", 4, 3)]
+
+
+class TestWorkingClassRoute:
+    @pytest.mark.parametrize("name,b,k", WORKING_CLASS_CASES)
+    def test_matches_the_route_through_the_cube_class(self, name, b, k,
+                                                      monkeypatch):
+        pres = pres_q8_pruned() if name == "Q8" else \
+            checks.presentation_for(name)
+        cube = build_presentation_cube(pres, 2, b)
+        formed = []
+
+        def recording_quotient(N, D):
+            formed.append((N, D))
+            return pc.abelian_quotient(N, D)
+
+        monkeypatch.setattr(hopf, "abelian_quotient", recording_quotient)
+        for primes in (None, PrimeSet([2]), PrimeSet([3])):
+            value, num, den = evaluate_cube(cube, primes, k)
+            ref_value, ref_n, ref_d = reference_evaluate_cube(cube, primes, k)
+            N, D = formed.pop()
+            assert value == ref_value, primes
+            assert N.seq == ref_n.seq and D.seq == ref_d.seq, primes
+            assert (num, den) == (subgroup_info(N), subgroup_info(D))
+
+    def test_closures_are_formed_at_the_working_class(self, monkeypatch):
+        cube = build_presentation_cube(checks.presentation_for("Z2xZ4"), 2, 4)
+        classes = {}
+
+        def recording(name, fn):
+            def wrapper(F, *args):
+                classes.setdefault(name, set()).add(F.nclass)
+                return fn(F, *args)
+            return wrapper
+
+        monkeypatch.setattr(hopf, "commutator_subgroup", recording(
+            "commutator_subgroup", pc.commutator_subgroup))
+        monkeypatch.setattr(pc, "normal_closure", recording(
+            "normal_closure", pc.normal_closure))
+        monkeypatch.setattr(pc, "_fill", recording("fill", pc._fill))
+        evaluate_cube(cube, PrimeSet([2]), k=3)
+        assert classes["commutator_subgroup"] == {3}
+        assert classes["normal_closure"] == {3}
+        # every closure, the meet's included, stays below the cube's class
+        assert max(classes["fill"]) == 3
+
+
 class TestSharedGroups:
     def test_one_group_per_rank_and_class(self):
         p = pres_v4()
@@ -439,6 +508,14 @@ class TestHigherDegree:
         assert r.value.factors == (2, 2, 2)
         assert r.provenance["classes"] == [2, 3]
         assert r.value == homology(klein4(), 3)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1: consecutive working classes agree on a wrong "
+        "value; a one-class-deep shadow leaves D4's numerator too big"))
+    def test_dihedral_degree_three_is_right_or_unstable(self):
+        r = hopf_pi_n(checks.presentation_for("D4"), 2, max_class=5)
+        assert r.stabilization == "UNSTABLE" or \
+            r.value == homology(named_group("D4"), 3)
 
     def test_class_budget_is_validated(self):
         with pytest.raises(ValidationError):

@@ -189,7 +189,7 @@ def test_public_methods_have_a_caller_in_src():
 # letters alone; a dense read there would scan the whole basis again.
 DENSE_ACCESSORS = ("exps", "weight_one")
 DENSE_READS_BY_DESIGN = {
-    ("pcseq.intersect", "exps"):
+    ("pcseq._meet_level", "exps"):
         "matrix rows: the class-1 lattices and the central blocks",
     ("hopf.hopf_pi_n", "weight_one"):
         "matrix rows: the relations of H1 on the generators",
