@@ -211,6 +211,6 @@ def torsion_closure_rows(n_gens, rel, primes):
     m = primes.part_of(diag[-1]) if diag else 1
     if m == 1:
         return IntMatrix([], cols=n_gens)
-    scaled = IntMatrix([[m * (i == j) for j in range(n_gens)]
-                        for i in range(n_gens)])
+    scaled = IntMatrix.from_sparse_rows(n_gens, n_gens,
+                                        (((i, m),) for i in range(n_gens)))
     return left_kernel(scaled, modulo=rel)

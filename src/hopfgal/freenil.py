@@ -6,11 +6,12 @@ A word stores only its syllables: the (letter, exponent) pairs with
 nonzero exponent, in increasing letter order.  The words of a degree-3
 Hopf computation on a rank-5 cover hold about five of the 205 letters
 of FreeNilGroup(5, 4), so collection, powers, extraction, truncation
-and the reductions in pcseq touch the nonzero letters alone.  A dense
-exponent vector is built on demand, by NilWord.exps, only where a matrix
-row is wanted (the central blocks in pcseq.intersect; weight_one gives
-the generator part, the relation rows of first homology in
-hopf.hopf_pi_n); FreeNilGroup.word is the constructor from such a
+and the reductions in pcseq touch the nonzero letters alone; the
+central blocks of pcseq.intersect are stored matrix rows read off the
+syllables.  A dense exponent vector is built on demand: NilWord.exps
+gives the whole vector, for tests and doctests, and weight_one the
+generator part, for the relation rows of first homology in
+hopf.hopf_pi_n; FreeNilGroup.word is the constructor from such a
 vector.
 
 Multiplication is collection from the left.  The commutator tails
@@ -365,21 +366,17 @@ class FreeNilGroup:
     def _solver(self, w):
         solver = self._solvers.get(w)
         if solver is None:
-            rows = []
             idx = [i for i in range(len(self.letters))
                    if self.weights[i] == w]
             monomials = sorted(
                 {m for i in idx for m in self._magnus_letter(i) if len(m) == w})
             mono_pos = {m: j for j, m in enumerate(monomials)}
-            for i in idx:
-                z = self._magnus_letter(i)
-                row = [0] * len(monomials)
-                for m, cval in z.items():
-                    if len(m) == w:
-                        row[mono_pos[m]] = cval
-                rows.append(row)
-            solver = (idx, mono_pos, HnfSolver(
-                IntMatrix(rows, cols=len(monomials))))
+            rows = [tuple(sorted((mono_pos[m], c)
+                                 for m, c in self._magnus_letter(i).items()
+                                 if len(m) == w and c))
+                    for i in idx]
+            solver = (idx, mono_pos, HnfSolver(IntMatrix.from_sparse_rows(
+                len(rows), len(monomials), rows)))
             self._solvers[w] = solver
         return solver
 
@@ -501,7 +498,7 @@ class NilWord:
     The syllables are the (letter index, exponent) pairs with nonzero
     exponent, in strictly increasing letter order: the normal form is
     unique, so equality and hashing compare syllables.  `exps` builds the
-    dense exponent vector on demand, for matrix rows.
+    dense exponent vector on demand.
     """
 
     __slots__ = ("parent", "_sylls")

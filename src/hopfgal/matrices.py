@@ -7,21 +7,23 @@ has one row per relation, one column per generator.
 All arithmetic is arbitrary-precision.  An `IntMatrix` stores only its
 nonzero entries, row by row, so the bar oracle's boundary matrices (well
 under 1% nonzero) cost memory in proportion to their entries.  Invariant
-factors come from one sparse elimination for every matrix, Hermite forms
-from one dense elimination that keeps no transform: transforms, kernels,
-solutions and lattice meets are read off the Hermite form of a block
-[mat | carry].  The Smith form with transforms is dense.
+factors come from one sparse elimination for every matrix.  Hermite forms
+come from one sparse elimination with a column index that keeps no
+transform: transforms, kernels, solutions and lattice meets are read off
+the Hermite form of a block [mat | carry].  The Smith form with
+transforms is dense and stays as the reference.
 
-The elimination takes unit pivots from the shortest rows first (length as
-read, then row index) and clears a unit's column in one pass.  The pivot
-order fixes the fill-in: taken in row order, the pivots followed whatever
-order the rows came in, and a row-shuffled degree-4 bar boundary of Q8
-took over a minute instead of a fraction of a second.
+The invariant-factor elimination takes unit pivots from the shortest rows
+first (length as read, then row index) and clears a unit's column in one
+pass.  The pivot order fixes the fill-in: taken in row order, the pivots
+followed whatever order the rows came in, and a row-shuffled degree-4
+bar boundary of Q8 took over a minute instead of a fraction of a second.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from math import gcd
 
 
@@ -129,46 +131,87 @@ def _addmul_row(target, source, q):
             target[j] += q * s
 
 
-def _addmul_sparse(target, nz, q):
-    # target += q * the row whose nonzero (col, value) pairs are nz
-    if q:
-        for k, v in nz:
-            target[k] += q * v
+def _split(row, n):
+    """A stored row cut at column n: (its entries before n, its entries
+    from n on, shifted back by n)."""
+    cut = bisect_left(row, (n,))
+    return row[:cut], tuple((c - n, v) for c, v in row[cut:])
 
 
-def _echelon(rows):
-    """Bring dense rows to Hermite normal form in place; no transform.
+def _echelon(nz, ncols):
+    """Hermite normal form of the stored rows nz; no transform.
 
-    Positive pivots, entries above each in [0, pivot), zero rows last;
-    returns the pivot columns.  A column's pivot is its entry of least
-    absolute value (then the first row), with Euclid steps until it is
-    alone; a row operation walks the pivot row's nonzero entries only.
-    A caller appends columns (an identity block for a transform) to
-    carry the operations along; the elimination runs on through them.
+    Returns the nonzero rows of the form, stored, in pivot order: positive
+    pivots with the entries above each in [0, pivot).  A caller appends
+    columns (an identity block for a transform) to carry the operations
+    along; the elimination runs on through them.
+
+    Each row is a dict from column to nonzero value, and a column index
+    holds the rows with an entry in each column.  Columns go left to
+    right.  A column's pivot is its live (not yet pivot) entry of least
+    absolute value, then lowest row, with Euclid steps until it is alone;
+    it is made positive, and the pivot rows above that hold an entry in
+    the column are reduced into [0, pivot).  A column visits only the
+    rows in its index, and a row operation walks only the source row's
+    entries.  A live row is zero left of the current column, so a step
+    fills in only at or right of it.
+
+    The result does not depend on the pivot order: the Hermite basis of a
+    lattice is unique, so these rows equal, entry for entry, those of the
+    dense elimination that swapped each pivot row into place.
     """
-    m = len(rows)
-    pivots = []
-    for j in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        live = [i for i in range(r, m) if rows[i][j]]
+    rows = [dict(r) for r in nz]
+    index = {}
+    for i, r in enumerate(rows):
+        for c in r:
+            index.setdefault(c, set()).add(i)
+    placed = [False] * len(rows)
+
+    def addmul(i, src, q):
+        # rows[i] += q * src, src a list of (col, value) pairs
+        r = rows[i]
+        for c, v in src:
+            old = r.get(c)
+            if old is None:
+                r[c] = q * v
+                index.setdefault(c, set()).add(i)
+            else:
+                old += q * v
+                if old:
+                    r[c] = old
+                else:
+                    del r[c]
+                    index[c].discard(i)
+
+    order = []
+    for j in range(ncols):
+        col = index.get(j)
+        if not col:
+            continue
+        live = [i for i in col if not placed[i]]
         while len(live) > 1:
-            i0 = min(live, key=lambda i: (abs(rows[i][j]), i))
-            nz = [(k, v) for k, v in enumerate(rows[i0][j:], j) if v]
+            p = min(live, key=lambda i: (abs(rows[i][j]), i))
+            a = rows[p][j]
+            src = list(rows[p].items())
             for i in live:
-                if i != i0:
-                    _addmul_sparse(rows[i], nz, -(rows[i][j] // nz[0][1]))
-            live = [i for i in live if rows[i][j]]
+                if i != p:
+                    addmul(i, src, -(rows[i][j] // a))
+            live = [i for i in live if j in rows[i]]
         if live:
-            prow = rows[live[0]]
+            p = live[0]
+            prow = rows[p]
             if prow[j] < 0:
-                prow = [-v for v in prow]
-            rows[live[0]], rows[r] = rows[r], prow
-            nz = [(k, v) for k, v in enumerate(prow[j:], j) if v]
-            for row in rows[:r]:
-                if row[j]:
-                    _addmul_sparse(row, nz, -(row[j] // prow[j]))
-            pivots.append(j)
-    return pivots
+                for c in prow:
+                    prow[c] = -prow[c]
+            a = prow[j]
+            src = list(prow.items())
+            for i in [i for i in col if placed[i]]:
+                q = rows[i][j] // a
+                if q:
+                    addmul(i, src, -q)
+            placed[p] = True
+            order.append(p)
+    return [tuple(sorted(rows[p].items())) for p in order]
 
 
 def hnf(mat):
@@ -176,7 +219,9 @@ def hnf(mat):
 
     Returns (H, U) with H = U * mat, U unimodular, H in row echelon form with
     positive pivots and the entries above each pivot reduced into [0, pivot):
-    the two halves of the Hermite form of [mat | I].
+    the two halves of the Hermite form of [mat | I].  That block has full
+    row rank, so its Hermite form has a row for each row of mat, and it is
+    unique: U does not depend on the pivot order either.
 
     >>> H, U = hnf(IntMatrix([[2, 0], [1, 1]]))
     >>> H.to_rows()
@@ -185,11 +230,10 @@ def hnf(mat):
     True
     """
     m, n = mat.shape
-    rows = [row + [int(i == k) for k in range(m)]
-            for i, row in enumerate(mat.to_rows())]
-    _echelon(rows)
-    return (IntMatrix([r[:n] for r in rows], cols=n),
-            IntMatrix([r[n:] for r in rows], cols=m))
+    halves = [_split(row, n) for row in _echelon(
+        (row + ((n + i, 1),) for i, row in enumerate(mat._nz)), n + m)]
+    return (IntMatrix.from_sparse_rows(m, n, (h for h, _ in halves)),
+            IntMatrix.from_sparse_rows(m, m, (u for _, u in halves)))
 
 
 def left_kernel(mat, modulo=None):
@@ -208,7 +252,18 @@ class HnfSolver:
     Its rows span the pairs (x * mat, x * carry).  Those with a pivot in
     mat's part hold there the Hermite basis `span` of rowspan(mat); the
     others are zero there and hold the Hermite basis `kernel` of
-    {x * carry : x * mat = 0}.  The carry defaults to the identity.
+    {x * carry : x * mat = 0}.  The carry defaults to the identity, and
+    it must have a row for each row of mat.
+
+    The form comes from the sparse elimination `_echelon`, run on the
+    stored rows of the block.  The Hermite form of a lattice is unique,
+    so `span`, `kernel` and the rows `solve` reduces by do not depend on
+    the pivot order.  `solve` gives one x * carry of many: any two
+    differ by an element of `kernel`.  Its callers need no particular
+    one.  In FreeNilGroup.extract mat's rows are independent leading
+    terms, so the kernel is zero and the solution unique; in pcseq the
+    split of a central defect is fixed up to a central witness of the
+    meet, which the closure holds anyway (see pcseq.intersect).
     """
 
     __slots__ = ("span", "kernel", "_pivots", "_carry_cols")
@@ -217,15 +272,19 @@ class HnfSolver:
         n = mat.cols
         if carry is None:
             carry = IntMatrix.identity(mat.rows)
-        rows = [r + c for r, c in zip(mat.to_rows(), carry.to_rows())]
-        pivots = _echelon(rows)
-        k = sum(j < n for j in pivots)
+        elif carry.rows != mat.rows:
+            raise ValueError("shape mismatch")
+        block = _echelon((a + tuple((n + c, v) for c, v in b)
+                          for a, b in zip(mat._nz, carry._nz)),
+                         n + carry.cols)
+        k = sum(row[0][0] < n for row in block)
         self._carry_cols = carry.cols
-        self._pivots = [[(c, v) for c, v in enumerate(rows[i][j:], j) if v]
-                        for i, j in enumerate(pivots[:k])]
-        self.span = IntMatrix([r[:n] for r in rows[:k]], cols=n)
-        self.kernel = IntMatrix([r[n:] for r in rows[k:len(pivots)]],
-                                cols=carry.cols)
+        self._pivots = block[:k]
+        self.span = IntMatrix.from_sparse_rows(
+            k, n, (_split(row, n)[0] for row in block[:k]))
+        self.kernel = IntMatrix.from_sparse_rows(
+            len(block) - k, carry.cols,
+            (_split(row, n)[1] for row in block[k:]))
 
     def solve(self, target):
         """x * carry for some x with x * mat = target, or None: reducing
@@ -235,7 +294,10 @@ class HnfSolver:
             j, a = nz[0]
             if y[j] % a:
                 return None
-            _addmul_sparse(y, nz, -(y[j] // a))
+            q = -(y[j] // a)
+            if q:
+                for k, v in nz:
+                    y[k] += q * v
         if any(y[:len(target)]):
             return None
         return [-v for v in y[len(target):]]

@@ -486,13 +486,18 @@ def _meet_level(S, T):
     if T.parent is not F:
         raise ValidationError("subgroups of different ambient groups")
     weights = F.weights
-    z_offset = len(weights) - weights.count(F.nclass)
+    zcols = weights.count(F.nclass)
+    z_offset = len(weights) - zcols
+
+    def central(word):
+        # the stored row of a central word's top-weight exponents
+        return tuple((l - z_offset, e) for l, e in word.syllables())
 
     def split(P):
         low = {l: m for l, m in P._by_lead.items() if weights[l] < F.nclass}
-        central = [list(m.exps[z_offset:]) for m in P.seq
-                   if weights[m.leading()[0]] == F.nclass]
-        return low, IntMatrix(central, cols=len(weights) - z_offset)
+        rows = [central(m) for m in P.seq
+                if weights[m.leading()[0]] == F.nclass]
+        return low, IntMatrix.from_sparse_rows(len(rows), zcols, rows)
 
     s_low, s_lat = split(S)
     t_low, t_lat = split(T)
@@ -513,13 +518,17 @@ def _meet_level(S, T):
         for r in (rs, rt):
             if not r.is_identity() and r.leading()[0] < z_offset:
                 raise InternalCheckError("reduction left a non-central part")
-        rs = list(rs.exps[z_offset:])
-        return rs, [a - b for a, b in zip(rs, rt.exps[z_offset:])]
+        rs = central(rs)
+        d = dict(rs)
+        for j, e in central(rt):
+            d[j] = d.get(j, 0) - e
+        return rs, tuple(sorted((j, e) for j, e in d.items() if e))
 
     glue = HnfSolver(s_lat.stack(t_lat),
-                     s_lat.stack(IntMatrix.zero(t_lat.rows, s_lat.cols)))
+                     s_lat.stack(IntMatrix.zero(t_lat.rows, zcols)))
     defects = [central_defect(F.lift_word(v))[1] for v in V.seq]
-    xrows = left_kernel(IntMatrix(defects, cols=s_lat.cols), glue.span)
+    xrows = left_kernel(IntMatrix.from_sparse_rows(len(defects), zcols,
+                                                   defects), glue.span)
 
     M = induced_sequence(low_group, [_product(low_group, V.seq, x)
                                      for x in xrows.to_rows()])
@@ -529,12 +538,16 @@ def _meet_level(S, T):
         for m in M.seq:
             lifted = F.lift_word(m)
             rs, d = central_defect(lifted)
-            a = glue.solve(d)
+            target = [0] * zcols
+            for j, e in d:
+                target[j] = e
+            a = glue.solve(target)
             if a is None:
                 raise InternalCheckError(
                     "central defect left the glue lattice")
-            z = [x - r for x, r in zip(a, rs)]
-            out.append(lifted.mul(F.word([0] * z_offset + z)))
+            for j, e in rs:
+                a[j] -= e
+            out.append(lifted.mul(F.word([0] * z_offset + a)))
         return out
 
     return M, witnesses

@@ -76,6 +76,9 @@ METHODS_UNCALLED_BY_DESIGN = {
         "reference route: tests check quotient_by_torsion against it",
     "groups.FiniteGroup.abelianization":
         "reference route: tests compare bar H1 and derived_subgroup with it",
+    "freenil.NilWord.exps":
+        "reference route: tests and doctests compare dense exponent "
+        "vectors with it; src/ builds matrix rows from the syllables",
 }
 
 
@@ -189,8 +192,6 @@ def test_public_methods_have_a_caller_in_src():
 # letters alone; a dense read there would scan the whole basis again.
 DENSE_ACCESSORS = ("exps", "weight_one")
 DENSE_READS_BY_DESIGN = {
-    ("pcseq._meet_level", "exps"):
-        "matrix rows: the class-1 lattices and the central blocks",
     ("hopf.hopf_pi_n", "weight_one"):
         "matrix rows: the relations of H1 on the generators",
 }
