@@ -407,19 +407,19 @@ class FreeNilGroup:
             if not layer:
                 continue
             idx, mono_pos, solver = self._solver(w)
-            target = [0] * len(mono_pos)
+            target = []
             for m, c in layer.items():
                 if m not in mono_pos:
                     raise InternalCheckError(
                         "weight-%d layer outside the Hall span" % w)
-                target[mono_pos[m]] = c
-            coeffs = solver.solve(target)
+                target.append((mono_pos[m], c))
+            coeffs = solver.solve(sorted(target))
             if coeffs is None:
                 raise InternalCheckError(
                     "weight-%d layer is not an integer Hall combination" % w)
             # letters are sorted by weight, so the strips concatenate
             # into the syllables in letter order
-            strip = [(i, c) for i, c in zip(idx, coeffs) if c]
+            strip = [(idx[j], c) for j, c in coeffs]
             sylls.extend(strip)
             if 2 * w > nclass:
                 residue = self._add_letters(

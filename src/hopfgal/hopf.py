@@ -12,13 +12,18 @@ lies in [R,F], so nothing is lost.  That gives second homology exactly.
 
 Third homology comes from the two-fold version: the presentation is
 squared into a pullback, covered by a bigger free nilpotent group, and
-the same kind of quotient is taken over both kernels.  Truncation is
-not exact there, and it fails in a specific way: the intersection of
-the two kernels at class k admits elements whose defect only shows
-above class k (the obstruction word has higher weight).  So the
-kernels are met one class deeper, and the numerator and denominator
-are formed at the working class from the image of that meet, which the
-deeper intersection's top level gives without lifting it.  No
+the same kind of quotient is taken over both kernels.  Both are kernels
+of surjections onto the free nilpotent group on the presentation's
+generators, split by the diagonal map: the relator generators go to 1
+for the first, a span of letters, and to their relators for the second,
+which pcseq.split_kernel forms one weight layer at a time by linear
+algebra instead of a normal closure.  Truncation is not exact there,
+and it fails in a specific way: the intersection of the two kernels at
+class k admits elements whose defect only shows above class k (the
+obstruction word has higher weight).  So the kernels are met one class
+deeper, and the numerator and denominator are formed at the working
+class from the image of that meet, which the deeper intersection's top
+level gives without lifting it.  No
 exactness is claimed even then; the value is recomputed at the next
 working class and only reported when two consecutive classes agree.
 """
@@ -34,7 +39,8 @@ from .freenil import NilHom, free_nil_group
 from .matrices import IntMatrix
 from .pcseq import (abelian_quotient, commutator_subgroup, intersect,
                     intersect_with_kernel, letter_span, meet_image,
-                    normal_closure, shadow, torsion_closure_in)
+                    normal_closure, shadow, split_kernel,
+                    torsion_closure_in)
 
 DEFAULT_MAX_CLASS = 4
 DEFAULT_RANK_CAP = 8
@@ -315,8 +321,16 @@ def build_presentation_cube(pres, n, k=None, rank_cap=DEFAULT_RANK_CAP):
     already normally generate the off-diagonal part), and both
     projection kernels are returned.  The first kernel is the normal
     closure of the relator generators x_d, ..., a span of letters; the
-    second is the normal closure of the twisted relator generators
-    x_{d+l} r_l^-1.
+    second is the normal closure N of the twisted relator generators
+    x_{d+l} s(r_l)^-1, for s: F -> Q the diagonal map x_i -> x_i.
+
+    N is the kernel of pi1: Q -> F, x_i -> x_i, x_{d+l} -> r_l, which s
+    splits, so it comes from pcseq.split_kernel one weight layer at a
+    time, with no closure.  pi1 kills each twisted generator, so N lies
+    in its kernel.  Modulo N, x_{d+l} is congruent to s(r_l) =
+    s(pi1(x_{d+l})), and x_i = s(pi1(x_i)).  So q -> qN and
+    q -> s(pi1(q))N, two homomorphisms Q -> Q/N, agree on the
+    generators and hence everywhere: q lies in N when pi1(q) = 1.
     """
     if n not in (1, 2):
         raise ValidationError("only 1- and 2-fold cubes are supported")
@@ -349,14 +363,11 @@ def build_presentation_cube(pres, n, k=None, rank_cap=DEFAULT_RANK_CAP):
     high = [i for i, cs in enumerate(contents) if any(j >= d for j in cs)]
     K0 = letter_span(Q, high)
 
-    # the second projection is the first one twisted by the automorphism
-    # fixing the diagonal generators and dividing each relator generator
-    # by the lifted relator word, so its kernel is the normal closure of
-    # the twisted relator generators
+    # the second kernel is that of x_i -> x_i, x_{d+l} -> r_l, which
+    # the diagonal map splits
+    gens = [F.generator(i) for i in range(d)]
     section = NilHom(F, Q, [Q.generator(i) for i in range(d)])
-    K1 = normal_closure(Q, [
-        Q.generator(d + l).mul(section.apply(rels[l]).inverse())
-        for l in range(t)])
+    K1 = split_kernel(NilHom(Q, F, gens + rels), section)
 
     return PresentationCube(2, Q, [K0, K1], {
         "construction": "pullback-cover", "working_class": k,

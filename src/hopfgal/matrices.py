@@ -85,6 +85,11 @@ class IntMatrix:
                 return v
         return 0
 
+    def sparse_rows(self):
+        """The stored rows, each a tuple of its nonzero (col, value)
+        pairs in ascending column order, as from_sparse_rows takes them."""
+        return self._nz
+
     def row(self, i):
         out = [0] * self.cols
         for j, v in self._nz[i]:
@@ -266,7 +271,7 @@ class HnfSolver:
     meet, which the closure holds anyway (see pcseq.intersect).
     """
 
-    __slots__ = ("span", "kernel", "_pivots", "_carry_cols")
+    __slots__ = ("span", "kernel", "_pivots")
 
     def __init__(self, mat, carry=None):
         n = mat.cols
@@ -278,8 +283,7 @@ class HnfSolver:
                           for a, b in zip(mat._nz, carry._nz)),
                          n + carry.cols)
         k = sum(row[0][0] < n for row in block)
-        self._carry_cols = carry.cols
-        self._pivots = block[:k]
+        self._pivots = {row[0][0]: row for row in block[:k]}
         self.span = IntMatrix.from_sparse_rows(
             k, n, (_split(row, n)[0] for row in block[:k]))
         self.kernel = IntMatrix.from_sparse_rows(
@@ -287,20 +291,42 @@ class HnfSolver:
             (_split(row, n)[1] for row in block[k:]))
 
     def solve(self, target):
-        """x * carry for some x with x * mat = target, or None: reducing
-        (target | 0) by the `span` rows leaves (0 | -x * carry)."""
-        y = list(target) + [0] * self._carry_cols
-        for nz in self._pivots:
-            j, a = nz[0]
-            if y[j] % a:
+        """x * carry for some x with x * mat = target, or None; target
+        and answer are stored rows, tuples of nonzero (col, value) pairs
+        in ascending column order.
+
+        Reducing (target | 0) by the `span` rows leaves (0 | -x * carry).
+        A pivot row is zero left of its pivot, so a reduction fills in
+        only to the right of the column it clears: the live columns of
+        mat's part are taken from a heap, lowest first, and each visits
+        the one pivot row of its column.  A live column with no pivot
+        row, or an entry its pivot does not divide, stays nonzero
+        whatever the later rows do, so the target is outside the span.
+        """
+        n = self.span.cols
+        y = dict(target)
+        live = list(y)
+        heapq.heapify(live)
+        while live:
+            j = heapq.heappop(live)
+            v = y.get(j)
+            if v is None:
+                continue
+            row = self._pivots.get(j)
+            if row is None:
                 return None
-            q = -(y[j] // a)
-            if q:
-                for k, v in nz:
-                    y[k] += q * v
-        if any(y[:len(target)]):
-            return None
-        return [-v for v in y[len(target):]]
+            q, r = divmod(v, row[0][1])
+            if r:
+                return None
+            for k, a in row:
+                v = y.get(k, 0) - q * a
+                if not v:
+                    del y[k]
+                    continue
+                if k < n and k not in y:
+                    heapq.heappush(live, k)
+                y[k] = v
+        return tuple(sorted((k - n, -v) for k, v in y.items()))
 
 
 def lattice_intersection(a, b):

@@ -16,15 +16,18 @@ one weight layer at a time and, when a layer is final, commutes its
 members with the acting words; its docstring proves the result full.
 The acting words are the ambient generators for normal_closure, and the
 members found so far for induced_sequence, which closes any generating
-set.  Every result ends in the same canonical box-reduced form, so two
-generating sets of one subgroup give the same sequence member for
-member.  Each subgroup the Hopf engine forms is one such fill or one
-elimination, at the class it reports: a product of commutator
-subgroups is one normal closure, and each level of intersect is one
-fill of the products of members its eliminations find, which need no
-commutator subgroup added.  meet_image is intersect's top level without
-the lift, so it gives the meet's image one class down at the cost of
-the meet there.
+set.  The kernel of a split surjection between free nilpotent groups
+needs no closure: split_kernel forms it one layer at a time from the
+Hermite kernels of the linear maps the surjection induces.  Every
+result ends in the same canonical box-reduced form, so two generating
+sets of one subgroup, or a closure and a kernel, give the same sequence
+member for member.  Each subgroup the Hopf engine forms is one such
+fill, split kernel or elimination, at the class it reports: a product
+of commutator subgroups is one normal closure, and each level of
+intersect is one fill of the products of members its eliminations
+find, which need no commutator subgroup added.  meet_image is
+intersect's top level without the lift, so it gives the meet's image
+one class down at the cost of the meet there.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from bisect import bisect_left
 from .abelian import FgAbelianGroup, torsion_closure_rows
 from .errors import (InternalCheckError, NotAbelianError, NotNormalError,
                      NotSubsetError, SizeLimitError, ValidationError)
+from .freenil import NilWord
 from .matrices import (HnfSolver, IntMatrix, lattice_intersection,
                        left_kernel)
 
@@ -312,6 +316,17 @@ def _fill(F, words, normal):
                     push(m.comm(x))
             final.append((m, w))
         members.update(layer)
+    return _canonical(F, members)
+
+
+def _canonical(F, members):
+    """The subgroup of a full sequence given as a map from leads to
+    members, each box-reduced against the deeper members.
+
+    The reduction goes from the deepest lead up, so each member is
+    reduced against final ones; it changes no generated subgroup, and
+    the result is the canonical sequence.
+    """
     leads = sorted(members)
     for l in reversed(leads[:-1]):
         members[l] = reduce_against(members[l], members, l + 1)[1]
@@ -330,6 +345,134 @@ def normal_closure(F, words):
     [(0, 2), (1, 2), (2, 2)]
     """
     return _fill(F, words, True)
+
+
+def split_kernel(pi, section):
+    """The kernel of pi: Q -> F, given a section s: F -> Q with
+    pi(s(y)) = y, as Q's canonical full sequence.  Q and F are free
+    nilpotent groups of one class c.
+
+    It is formed one weight layer at a time by linear algebra, with no
+    commutator closure (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005, ch. 8).  Write K for the kernel
+    and K_w for K /\\ gamma_w(Q).  The weight-w coordinates embed
+    gamma_w/gamma_{w+1} of each group in a lattice, and pi induces the
+    linear map gr_w(pi) between them, whose row for a weight-w letter
+    b_l holds the weight-w coordinates of pi(b_l).  The maps gr(pi)
+    form a homomorphism of graded Lie rings, so they are read off the
+    weight-one parts of the generator images and the Lie brackets of
+    F's letters: for letters b_a, b_b of F, the bracket is the
+    weight-(w_a + w_b) part of the commutator [b_a, b_b], the leading
+    part of its collection tail.  No group product is formed for them.
+
+    Layer w holds one member for each row v of the Hermite basis of
+    L_w = ker gr_w(pi): for g the word with syllables v, the member is
+    g s(pi(g))^-1.  The weight-w part of pi(g) is v gr_w(pi) = 0, so
+    pi(g) lies in gamma_{w+1}(F) and its image under the homomorphism s
+    in gamma_{w+1}(Q): the member's weight-w coordinates are v, its
+    lead is v's pivot, and pi maps it to pi(g) pi(g)^-1 = 1, since
+    pi s, a homomorphism that fixes the generators, is the identity.
+    At w = c, gamma_{c+1}(F) is trivial and the member is g itself, so
+    the top layer needs no group arithmetic.
+
+    Why the members are a full sequence for K.  K_w meets
+    gamma_{w+1}(Q) in K_{w+1}, so K_w/K_{w+1} embeds in
+    gamma_w/gamma_{w+1}.  The image lies in L_w, for pi kills K_w and
+    with it the weight-w part of each of its elements, and it holds the
+    layer's members, whose weight-w parts are L_w's Hermite basis: the
+    image is L_w, and the members map to a basis of it.  Going down
+    from K_{c+1} = 1, every element of K_w is an ordered product of
+    powers of layer w's members times an element of K_{w+1}, which is
+    _fill's fullness, and K_1 = K.  The leads are the Hermite pivots,
+    distinct and with positive exponents, and each member is finally
+    box-reduced against the deeper ones, as _fill does; so the result
+    is the canonical sequence of K, equal member for member to any
+    closure that forms K.
+
+    Raises ValidationError when Q and F differ in class, when s does
+    not run from F to Q, or when pi s is not the identity on F's
+    generators.
+
+    The pullback cover of <x | x^2> at class 2 sends its generators
+    x, r to x and x^2:
+
+    >>> from .freenil import FreeNilGroup, NilHom
+    >>> Q, F = FreeNilGroup(2, 2), FreeNilGroup(1, 2)
+    >>> x = F.generator(0)
+    >>> pi = NilHom(Q, F, [x, x.pow(2)])
+    >>> K = split_kernel(pi, NilHom(F, Q, [Q.generator(0)]))
+    >>> [m.exps for m in K.seq]   # x^2 r^-1, then [r, x]
+    [(2, -1, 0), (0, 0, 1)]
+    """
+    Q, F = pi.src, pi.dst
+    if Q.nclass != F.nclass:
+        raise ValidationError("ambients of different class")
+    if section.src is not F or section.dst is not Q:
+        raise ValidationError("the section does not run from the "
+                              "codomain to the domain")
+    for i, y in enumerate(section.images):
+        if pi.apply(y) != F.generator(i):
+            raise ValidationError("the map does not undo the section "
+                                  "on generator %d" % i)
+    c = Q.nclass
+    q_weights, f_weights = Q.weights, F.weights
+    graded = _graded_images(pi)
+    members = {}
+    for w in range(1, c + 1):
+        q0, q1 = bisect_left(q_weights, w), bisect_left(q_weights, w + 1)
+        f0, f1 = bisect_left(f_weights, w), bisect_left(f_weights, w + 1)
+        rows = [tuple((k - f0, e) for k, e in graded[l])
+                for l in range(q0, q1)]
+        basis = left_kernel(IntMatrix.from_sparse_rows(q1 - q0, f1 - f0,
+                                                       rows))
+        for v in basis.sparse_rows():
+            g = NilWord(Q, tuple((q0 + j, e) for j, e in v))
+            if w < c:
+                g = g.mul(section.apply(pi.apply(g)).inverse())
+            members[q0 + v[0][0]] = g
+    return _canonical(Q, members)
+
+
+def _graded_images(pi):
+    """For each letter b_l of pi's domain, of weight w, the weight-w
+    coordinates of pi(b_l), as a stored row over the codomain's letters.
+
+    A generator's row is the weight-one part of its image; a letter
+    [b_u, b_v] gets the Lie bracket of the rows of b_u and b_v.  The
+    bracket of two letters of the codomain is the weight-(w_a + w_b)
+    part of their collection tail, taken with the larger letter first
+    (the one collection derives) and negated for the other order.
+    """
+    F = pi.dst
+    weights = F.weights
+    brackets = {}
+
+    def bracket(a, b):
+        out = brackets.get((a, b))
+        if out is None:
+            if a < b:
+                out = tuple((k, -e) for k, e in bracket(b, a))
+            else:
+                w = weights[a] + weights[b]
+                out = tuple((k, e) for k, e in F.tail(a, b, 1, 1)
+                            if weights[k] == w)
+            brackets[a, b] = out
+        return out
+
+    rows = []
+    for letter in pi.src.letters:
+        if letter.left is None:
+            rows.append(tuple((k, e) for k, e in
+                              pi.images[letter.index].syllables()
+                              if k < F.rank))
+            continue
+        acc = {}
+        for a, x in rows[letter.left]:
+            for b, y in rows[letter.right]:
+                for k, e in bracket(a, b):
+                    acc[k] = acc.get(k, 0) + x * y * e
+        rows.append(tuple(sorted((k, e) for k, e in acc.items() if e)))
+    return rows
 
 
 def commutator_subgroup(F, pairs):
@@ -533,21 +676,23 @@ def _meet_level(S, T):
     M = induced_sequence(low_group, [_product(low_group, V.seq, x)
                                      for x in xrows.to_rows()])
 
+    def central_word(row):
+        return NilWord(F, tuple((z_offset + j, e) for j, e in row))
+
     def witnesses():
-        out = [F.word([0] * z_offset + c) for c in glue.kernel.to_rows()]
+        out = [central_word(c) for c in glue.kernel.sparse_rows()]
         for m in M.seq:
             lifted = F.lift_word(m)
             rs, d = central_defect(lifted)
-            target = [0] * zcols
-            for j, e in d:
-                target[j] = e
-            a = glue.solve(target)
+            a = glue.solve(d)
             if a is None:
                 raise InternalCheckError(
                     "central defect left the glue lattice")
+            a = dict(a)
             for j, e in rs:
-                a[j] -= e
-            out.append(lifted.mul(F.word([0] * z_offset + a)))
+                a[j] = a.get(j, 0) - e
+            out.append(lifted.mul(central_word(
+                sorted((j, e) for j, e in a.items() if e))))
         return out
 
     return M, witnesses

@@ -127,7 +127,8 @@ def test_torsion_closure_rows_gives_local_quotient():
         assert P.is_number(e)
         base = HnfSolver(rel).span
         for row in extra.to_rows():
-            assert HnfSolver(base).solve([e * x for x in row]) is not None
+            assert HnfSolver(base).solve(
+                tuple((j, e * x) for j, x in enumerate(row) if x)) is not None
 
 
 def test_torsion_closure_matches_the_smith_route():

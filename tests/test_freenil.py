@@ -155,16 +155,17 @@ def reference_extract(F, z):
                 raise InternalCheckError(
                     "weight-%d layer outside the Hall span" % w)
             target[mono_pos[m]] = c
-        coeffs = solver.solve(target)
+        coeffs = solver.solve(tuple((j, c) for j, c in enumerate(target)
+                                    if c))
         if coeffs is None:
             raise InternalCheckError(
                 "weight-%d layer is not an integer Hall combination" % w)
         strip = {(): 1}
-        for i, c in zip(idx, coeffs):
+        for j, c in coeffs:
+            i = idx[j]
             exps[i] = c
-            if c:
-                strip = _alg_mul(strip, _alg_power(F._magnus_letter(i), c,
-                                                   F.nclass), F.nclass)
+            strip = _alg_mul(strip, _alg_power(F._magnus_letter(i), c,
+                                               F.nclass), F.nclass)
         residue = _alg_mul(_alg_power(strip, -1, F.nclass), residue,
                            F.nclass)
     if any(c for m, c in residue.items() if m):
@@ -759,9 +760,10 @@ def reference_intersect(S, T):
     for m in M.seq:
         lifted = F.lift_word(m)
         target, rs = central_defect(lifted)
-        x = solver.solve(target)
+        x = solver.solve(tuple((j, c) for j, c in enumerate(target) if c))
         assert x is not None
-        a_part = IntMatrix([x[:s_lat.rows]], cols=s_lat.rows).mul(s_lat)
+        x = [dict(x).get(i, 0) for i in range(s_lat.rows)]
+        a_part = IntMatrix([x], cols=s_lat.rows).mul(s_lat)
         z = [a - r for a, r in zip(a_part.row(0), rs.exps[z_offset:])]
         witnesses.append(lifted.mul(F.word([0] * z_offset + z)))
     for row in lattice_intersection(s_lat, t_lat).to_rows():

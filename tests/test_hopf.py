@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import math
+import pathlib
+import random
 
 import pytest
 
@@ -10,7 +13,8 @@ from hopfgal.bar import homology
 from hopfgal.corpus import (PRESENTED, TRIVIAL_PRESENTED, abelian, cyclic,
                             klein4, named_group)
 from hopfgal.errors import SizeLimitError, ValidationError
-from hopfgal.freenil import FreeNilGroup, NilHom, free_nil_group
+from hopfgal.freenil import (MAX_BASIS, FreeNilGroup, NilHom, free_nil_group,
+                             witt_number)
 from hopfgal.hopf import (
     MAX_NESTING, HopfResult, NilPresentation, build_presentation_cube,
     evaluate_cube, hopf_pi_n, parse_presentation,
@@ -307,6 +311,162 @@ class TestCubes:
         assert value.factors == (2,)
         assert num["generators"] >= 1
         assert den["generators"] >= 1
+
+
+def twisted_maps(pres, k):
+    """(Q, pi0, pi1, section) of the two-fold cube at class k: pi0 sends
+    the relator generators to 1, pi1 to their relators, and the section
+    is the diagonal map x_i -> x_i."""
+    F, rels = pres.ambient(k)
+    d = F.rank
+    Q = free_nil_group(d + len(rels), k)
+    gens = [F.generator(i) for i in range(d)]
+    return (Q, NilHom(Q, F, gens + [F.identity()] * len(rels)),
+            NilHom(Q, F, gens + rels),
+            NilHom(F, Q, [Q.generator(i) for i in range(d)]))
+
+
+def reference_twisted_kernel(pres, k):
+    """K1 as build_presentation_cube formed it before split_kernel: the
+    normal closure of the twisted relator generators x_{d+l} s(r_l)^-1."""
+    F, rels = pres.ambient(k)
+    Q, _, _, section = twisted_maps(pres, k)
+    d = F.rank
+    return pc.normal_closure(Q, [
+        Q.generator(d + l).mul(section.apply(r).inverse())
+        for l, r in enumerate(rels)])
+
+
+def bench_h3_presentations(seed):
+    """The eight presentations the benchmark's hopf-h3 workload writes
+    at this seed: generators renamed, relators permuted, some inverted."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads",
+        pathlib.Path(__file__).parent.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rng = random.Random("hopf-h3:%d" % seed)
+    return [("h3-" + name, parse_presentation(
+        workloads.presentation_text(rng, count, relators)))
+        for name, count, relators in workloads.H3_PRESENTATIONS]
+
+
+def cover_basis_size(pres, k):
+    rank = pres.rank + len(pres.relators)
+    return sum(witt_number(rank, w) for w in range(1, k + 1))
+
+
+SPLIT_KERNEL_CASES = (
+    [(name, NilPresentation(gens, rels, nclass))
+     for name, _, gens, rels, nclass in PRESENTED]
+    + bench_h3_presentations(7))
+
+
+class TestSplitKernel:
+    @pytest.mark.parametrize("name,pres", SPLIT_KERNEL_CASES,
+                             ids=[name for name, _ in SPLIT_KERNEL_CASES])
+    def test_matches_the_twisted_closure(self, name, pres):
+        for k in range(pres.nclass + 1, pres.nclass + 4):
+            if cover_basis_size(pres, k) > MAX_BASIS:
+                continue
+            K1 = build_presentation_cube(pres, 2, k).kernels[1]
+            assert K1.seq == reference_twisted_kernel(pres, k).seq, k
+
+    def test_matches_the_twisted_closure_at_class_five(self):
+        # D4 reaches class 5 above, as class c + 3
+        pres = pres_q8_pruned()
+        K1 = build_presentation_cube(pres, 2, 5).kernels[1]
+        assert K1.seq == reference_twisted_kernel(pres, 5).seq
+
+    @pytest.mark.parametrize("name", ["Z2xZ2", "Z3xZ3", "D4"])
+    def test_untwisted_kernel_is_the_letter_span(self, name):
+        pres = checks.presentation_for(name)
+        k = pres.nclass + 2
+        _, pi0, _, section = twisted_maps(pres, k)
+        K0 = build_presentation_cube(pres, 2, k).kernels[0]
+        assert pc.split_kernel(pi0, section).seq == K0.seq
+
+    def test_section_must_be_undone_on_the_generators(self):
+        Q, _, pi1, section = twisted_maps(pres_v4(), 3)
+        F = section.src
+        swapped = NilHom(F, Q, [Q.generator(1), Q.generator(0)])
+        with pytest.raises(ValidationError, match="undo the section"):
+            pc.split_kernel(pi1, swapped)
+
+    def test_ambients_must_share_the_class(self):
+        Q, _, _, _ = twisted_maps(pres_v4(), 3)
+        F = free_nil_group(2, 2)
+        gens = [F.generator(0), F.generator(1)]
+        pi = NilHom(Q, F, gens + [F.identity()] * 3)
+        section = NilHom(F, Q, [Q.generator(0), Q.generator(1)])
+        with pytest.raises(ValidationError, match="different class"):
+            pc.split_kernel(pi, section)
+
+    def test_section_must_land_in_the_domain(self):
+        _, _, pi1, _ = twisted_maps(pres_v4(), 3)
+        F = pi1.dst
+        other = free_nil_group(4, 3)
+        section = NilHom(F, other, [other.generator(0), other.generator(1)])
+        with pytest.raises(ValidationError, match="codomain to the domain"):
+            pc.split_kernel(pi1, section)
+
+
+def count_multiplies(monkeypatch, fn):
+    """fn() and the number of FreeNilGroup.multiply calls it made."""
+    calls = [0]
+    multiply = FreeNilGroup.multiply
+
+    def counted(F, u, v):
+        calls[0] += 1
+        return multiply(F, u, v)
+
+    monkeypatch.setattr(FreeNilGroup, "multiply", counted)
+    try:
+        return fn(), calls[0]
+    finally:
+        monkeypatch.setattr(FreeNilGroup, "multiply", multiply)
+
+
+class TestSplitKernelWork:
+    def test_cube_build_makes_two_thirds_of_the_closure_products(
+            self, monkeypatch):
+        # warm groups: every tail the two routes use is derived first
+        pres = pres_v4()
+        build_presentation_cube(pres, 2, 4)
+        reference_twisted_kernel(pres, 4)
+        cube, new = count_multiplies(
+            monkeypatch, lambda: build_presentation_cube(pres, 2, 4))
+        ref, old = count_multiplies(
+            monkeypatch, lambda: reference_twisted_kernel(pres, 4))
+        assert cube.kernels[1].seq == ref.seq
+        assert 3 * new <= 2 * old, (new, old)
+
+    def test_top_layer_makes_no_product(self, monkeypatch):
+        # at class 1 every layer is the top one: the only products are
+        # those of checking that pi undoes the section on the generators
+        _, _, pi1, section = twisted_maps(pres_v4(), 1)
+        _, check = count_multiplies(monkeypatch, lambda: [
+            pi1.apply(y) for y in section.images])
+        K, calls = count_multiplies(
+            monkeypatch, lambda: pc.split_kernel(pi1, section))
+        assert calls == check
+        assert len(K.seq) == 3
+
+    def test_no_top_weight_word_is_mapped(self, monkeypatch):
+        # the corrections g s(pi(g))^-1 stop below the top weight
+        Q, _, pi1, section = twisted_maps(pres_v4(), 4)
+        mapped = []
+        apply = NilHom.apply
+
+        def recording(hom, u):
+            if hom.src is Q and not u.is_identity():
+                mapped.append(Q.weights[u.leading()[0]])
+            return apply(hom, u)
+
+        monkeypatch.setattr(NilHom, "apply", recording)
+        K = pc.split_kernel(pi1, section)
+        assert mapped and max(mapped) == 3
+        assert sum(w == 4 for w in K.leading_weights()) == 147
 
 
 class TestDenominator:

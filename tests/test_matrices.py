@@ -144,6 +144,41 @@ def reference_block_hnf(mat):
             IntMatrix([r[n:] for r in rows], cols=m))
 
 
+def stored(row):
+    """A dense row as solve takes it: its nonzero (col, value) pairs."""
+    return tuple((j, v) for j, v in enumerate(row) if v)
+
+
+def dense(row, n):
+    """A stored row of n columns as a dense list."""
+    out = [0] * n
+    for j, v in row:
+        out[j] = v
+    return out
+
+
+def reference_solve(mat, carry, target):
+    """The dense solve HnfSolver ran before it took stored rows: (target
+    | 0) reduced by every pivot row of the dense Hermite form of
+    [mat | carry] in turn; -x * carry as a dense list, or None."""
+    n = mat.cols
+    rows = [r + c for r, c in zip(mat.to_rows(), carry.to_rows())]
+    pivots = reference_echelon(rows)
+    y = list(target) + [0] * carry.cols
+    for row, j in zip(rows, pivots):
+        if j >= n:
+            break
+        if y[j] % row[j]:
+            return None
+        q = -(y[j] // row[j])
+        if q:
+            for k, v in enumerate(row):
+                y[k] += q * v
+    if any(y[:n]):
+        return None
+    return [-v for v in y[n:]]
+
+
 def is_hermite(M):
     """Echelon rows, no zero row, positive pivots, entries above each
     pivot in [0, pivot)."""
@@ -226,9 +261,10 @@ def test_solver_with_a_carry_splits_a_sum():
         assert glue.kernel == reference_lattice_intersection(A, B)
         x = [rng.randrange(-4, 5) for _ in range(A.rows + B.rows)]
         d = IntMatrix([x], cols=A.rows + B.rows).mul(A.stack(B)).row(0)
-        a = glue.solve(d)
-        assert HnfSolver(A).solve(a) is not None
-        assert HnfSolver(B).solve([u - v for u, v in zip(d, a)]) is not None
+        a = dense(glue.solve(stored(d)), n)
+        assert HnfSolver(A).solve(stored(a)) is not None
+        assert HnfSolver(B).solve(
+            stored([u - v for u, v in zip(d, a)])) is not None
 
 
 def test_hnf_worked_example():
@@ -387,8 +423,9 @@ def test_hnf_solver_solves_left_systems():
             target = IntMatrix([x], cols=m).mul(M).row(0)
         else:
             target = [rng.randrange(-20, 21) for _ in range(n)]
-        sol = HnfSolver(M).solve(target)
+        sol = HnfSolver(M).solve(stored(target))
         if sol is not None:
+            sol = dense(sol, m)
             assert IntMatrix([sol], cols=m).mul(M).row(0) == list(target)
             solved += 1
         else:
@@ -428,16 +465,16 @@ def test_lattice_algebra():
         in_a, in_b = HnfSolver(A), HnfSolver(B)
         in_sum = HnfSolver(HnfSolver(A.stack(B)).span)
         for row in A.to_rows() + B.to_rows():
-            assert in_sum.solve(row) is not None
+            assert in_sum.solve(stored(row)) is not None
         I = lattice_intersection(A, B)
         in_i = HnfSolver(I)
         for row in I.to_rows():
-            assert in_a.solve(row) is not None
-            assert in_b.solve(row) is not None
+            assert in_a.solve(stored(row)) is not None
+            assert in_b.solve(stored(row)) is not None
         # intersection contains the product-scaled rows of A that land in B
         for row in A.to_rows():
-            if in_b.solve(row) is not None:
-                assert in_i.solve(row) is not None
+            if in_b.solve(stored(row)) is not None:
+                assert in_i.solve(stored(row)) is not None
 
 
 def test_bareiss_det_small_cases():
@@ -548,9 +585,10 @@ def check_glue(a, b, rng):
     assert lattice_intersection(a, b) == meet
     x = [rng.randrange(-3, 4) for _ in range(a.rows + b.rows)]
     d = IntMatrix([x], cols=len(x)).mul(a.stack(b)).row(0)
-    part = glue.solve(d)
-    assert HnfSolver(a).solve(part) is not None
-    assert HnfSolver(b).solve([u - v for u, v in zip(d, part)]) is not None
+    part = dense(glue.solve(stored(d)), a.cols)
+    assert HnfSolver(a).solve(stored(part)) is not None
+    assert HnfSolver(b).solve(
+        stored([u - v for u, v in zip(d, part)])) is not None
 
 
 def test_sparse_hermite_forms_match_the_dense_elimination():
@@ -649,3 +687,32 @@ def test_sparse_solver_memory_on_a_near_identity_block():
         tracemalloc.stop()
     assert solver.span.rows == n and solver.kernel.rows == 0
     assert peak < 20 * 2 ** 20
+
+
+def test_sparse_solve_matches_the_dense_walk():
+    """solve on stored targets against the dense walk over every pivot
+    row, None included: targets in the span, off it by one entry, and
+    random, for solvers with and without a carry."""
+    rng = random.Random(36)
+    answered = unsolvable = 0
+    for _ in range(300):
+        m, n = rng.randrange(1, 12), rng.randrange(1, 12)
+        mat = sparse_matrix(rng, m, n, rng.uniform(0.1, 0.6))
+        carry = (IntMatrix.identity(m) if rng.randrange(2)
+                 else sparse_matrix(rng, m, rng.randrange(1, 6), 0.5))
+        solver = HnfSolver(mat, carry)
+        x = [rng.randrange(-3, 4) for _ in range(m)]
+        inside = IntMatrix([x], cols=m).mul(mat).row(0)
+        nudged = list(inside)
+        nudged[rng.randrange(n)] += rng.choice((-1, 1, 2))
+        for target in (inside, nudged,
+                       [rng.randrange(-6, 7) for _ in range(n)],
+                       [0] * n):
+            expect = reference_solve(mat, carry, target)
+            got = solver.solve(stored(target))
+            assert got == (None if expect is None else stored(expect))
+            if expect is None:
+                unsolvable += 1
+            else:
+                answered += 1
+    assert answered >= 300 and unsolvable >= 100
