@@ -289,7 +289,8 @@ def check_collection(count=1000, seed=20260814):
     Magnus algebra model.
 
     Draws ceil(count / 3) triples of random words; each gives three
-    group-law cases and one comparison with multiply_via_model.
+    group-law cases and one comparison with multiply_via_model, which
+    share one collected u*v.
     """
     rng = random.Random(seed)
     report = CheckReport("collection", seed)
@@ -299,13 +300,14 @@ def check_collection(count=1000, seed=20260814):
         F = rng.choice(ambients)
         u, v, w = (_random_word(rng, F) for _ in range(3))
         tag = "rank %d class %d %r %r %r" % (F.rank, F.nclass, u, v, w)
-        report.record(u.mul(v).mul(w) == u.mul(v.mul(w)),
+        uv = u.mul(v)
+        report.record(uv.mul(w) == u.mul(v.mul(w)),
                       "associativity failed: " + tag)
         report.record(u.mul(u.inverse()).is_identity(),
                       "inverse failed: " + tag)
         report.record(u.pow(3) == u.mul(u).mul(u),
                       "power failed: " + tag)
-        report.record(u.mul(v) == F.multiply_via_model(u, v),
+        report.record(uv == F.multiply_via_model(u, v),
                       "collection disagrees with the algebra model: " + tag)
     return report
 

@@ -21,6 +21,13 @@ pair from a few small-exponent tails computed inside a truncated free
 associative algebra (the Magnus embedding), then evaluated at any
 exponents.  No cost grows with the size of an exponent.
 
+An algebra element is graded, one dict per degree 0..c, and a
+monomial's letters are packed into an int, so products hash small ints
+and pair only degrees that fit under c.  Each letter keeps the powers
+of X = M(b) - 1 up to degree c, which give every M(b)^e with no
+product, and a bracket's X is (BA)^-1 (XY - YX) over its factors' A, B,
+with (BA)^-1 needed only below degree c - w_a - w_b.
+
 The algebra model doubles as an independent multiplication oracle: the
 embedding g -> 1 + (higher terms) is faithful on the class-c truncation,
 so disagreement between collection and the model is a hard bug.
@@ -129,7 +136,9 @@ class FreeNilGroup:
         self._linear = bisect_right(self.weights, nclass // 2)
         self._identity = NilWord(self, ())
         self._polys = {}
-        self._magnus_letters = None
+        # bits per letter of a packed Magnus monomial
+        self._bits = max(1, (rank - 1).bit_length())
+        self._magnus_letters = [None] * len(letters)
         self._solvers = {}
 
     def identity(self):
@@ -290,11 +299,8 @@ class FreeNilGroup:
         df, de = (nclass - wl) // wt, (nclass - wt) // wl
         grid = [(i, j) for i in range(1, df + 1) for j in range(1, de + 1)
                 if i * wt + j * wl <= nclass]
-        mt, ml = self._magnus_letter(t), self._magnus_letter(l)
-        pt = [None] + [_alg_power(mt, i, nclass) for i in range(1, df + 1)]
-        pl = [None] + [_alg_power(ml, j, nclass) for j in range(1, de + 1)]
-        values = {(i, j): self.extract(_alg_comm(pt[i], pl[j],
-                                                 nclass)).syllables()
+        values = {(i, j): self.extract([{0: 1}] + self._bracket(
+                      t, i, l, j)[1:]).syllables()
                   for i, j in grid}
         rows = {}
         for i, j in grid:
@@ -317,50 +323,86 @@ class FreeNilGroup:
     # ---- Magnus model ---------------------------------------------------
 
     def _magnus_letter(self, i):
-        if self._magnus_letters is None:
-            self._magnus_letters = [None] * len(self.letters)
-        z = self._magnus_letters[i]
-        if z is None:
+        """(X, X^2, ..., X^k) for X = M(b_i) - 1 and k = c // w_i, built
+        on first use.
+
+        Each entry is graded as in magnus_image, with layer 0 empty.  X
+        has no term of degree below w_i, so X^(k+1) vanishes, and
+        M(b_i)^e = sum_k C(e, k) X^k (_letter_power) needs no product.
+        A generator's X is its own letter.  A bracket [a, b]'s X is
+        (BA)^-1 (XY - YX) over A = 1 + X and B = 1 + Y, the images of a
+        and b, with (BA)^-1 taken only up to degree c - w_a - w_b
+        (_bracket): no image is powered or inverted by products.
+        """
+        table = self._magnus_letters[i]
+        if table is None:
             letter = self.letters[i]
             if letter.left is None:
-                z = {(): 1, (i,): 1}
+                x = [{}, {i: 1}] + [{} for _ in range(self.nclass - 1)]
             else:
-                z = _alg_comm(self._magnus_letter(letter.left),
-                              self._magnus_letter(letter.right), self.nclass)
-            self._magnus_letters[i] = z
+                x = self._bracket(letter.left, 1, letter.right, 1)
+            table = [x]
+            for _ in range(1, self.nclass // letter.weight):
+                table.append(_alg_mul(table[-1], x, self._bits))
+            self._magnus_letters[i] = table
+        return table
+
+    def _letter_power(self, l, e, top):
+        """M(b_l)^e = sum_k C(e, k) X_l^k, up to degree top."""
+        table = self._magnus_letter(l)
+        if e == 1:    # X's own layers: no caller changes a layer it gets
+            return [{0: 1}] + table[0][1:top + 1]
+        return _alg_add(_alg_one(top), zip(
+            _binomials(e, len(table))[1:], table))
+
+    def _bracket(self, t, f, l, e):
+        """M([b_t^f, b_l^e]) - 1, for w_t + w_l <= c.
+
+        Write A = M(b_t^f) = 1 + X and B = M(b_l^e) = 1 + Y.  The
+        commutator's image is A^-1 B^-1 A B = (BA)^-1 AB, so its part
+        above 1 is (BA)^-1 (AB - BA), and AB - BA = XY - YX since the
+        1 and the linear terms cancel.  XY - YX has no term of degree
+        below w_t + w_l, so only the terms of (BA)^-1 = A^-1 B^-1 of
+        degree <= c - w_t - w_l reach the truncation: the product of
+        the two inverse powers is formed up to that degree only, and
+        for a pair of weight c it is 1.
+        """
+        nclass, bits = self.nclass, self._bits
+        x, y = (self._letter_power(t, f, nclass),
+                self._letter_power(l, e, nclass))
+        x[0] = y[0] = {}
+        z = _alg_add(_alg_mul(x, y, bits), [(-1, _alg_mul(y, x, bits))])
+        top = nclass - self.weights[t] - self.weights[l]
+        if top:
+            z = _alg_mul(_alg_mul(self._letter_power(t, -f, top),
+                                  self._letter_power(l, -e, top), bits),
+                         z, bits)
         return z
 
     def magnus_image(self, u):
         """Image of a normal form in the truncated free algebra.
 
-        Write X_l = M(b_l) - 1; it has only terms of degree >= w_l.  When
-        2 w_l > c, X_l^2 vanishes in the truncation, so M(b_l)^e = 1 + e X_l,
-        and a product of such factors is 1 plus the sum of their e X_l,
-        since every cross term has degree above c.  Letters are sorted by
-        weight, so these are the trailing syllables: only the letters of
-        weight <= c/2 are multiplied out, and the rest are applied as one
-        summed factor.
+        The image is graded: a list of c + 1 dicts, where layer L maps
+        each length-L monomial, its letters packed into an int of _bits
+        bits per letter, to its coefficient.  Write X_l = M(b_l) - 1; it
+        has only terms of degree >= w_l.  Each M(b_l)^e comes from the
+        letter's power table.  When 2 w_l > c, X_l^2 vanishes in the
+        truncation, so M(b_l)^e = 1 + e X_l, and a product of such
+        factors is 1 plus the sum of their e X_l, since every cross term
+        has degree above c.  Letters are sorted by weight, so these are
+        the trailing syllables: only the letters of weight <= c/2 are
+        multiplied out, and the rest are applied as one summed factor.
         """
-        nclass = self.nclass
+        nclass, bits = self.nclass, self._bits
         sylls = u.syllables()
         split = bisect_left(sylls, self._linear, key=itemgetter(0))
-        z = {(): 1}
+        z = _alg_one(nclass)
         for l, e in sylls[:split]:
-            z = _alg_mul(z, _alg_power(self._magnus_letter(l), e, nclass),
-                         nclass)
+            z = _alg_mul(z, self._letter_power(l, e, nclass), bits)
         if split < len(sylls):
-            z = _alg_mul(z, self._add_letters({(): 1}, sylls[split:]),
-                         nclass)
-        return z
-
-    def _add_letters(self, z, sylls):
-        """z + sum e X_l over the syllables (l, e), with X_l = M(b_l) - 1;
-        z is updated in place and returned."""
-        get = z.get
-        for l, e in sylls:
-            for m, c in self._magnus_letter(l).items():
-                if m:
-                    z[m] = get(m, 0) + e * c
+            z = _alg_mul(z, _alg_add(_alg_one(nclass), [
+                (e, self._magnus_letter(l)[0]) for l, e in sylls[split:]]),
+                bits)
         return z
 
     def _solver(self, w):
@@ -368,42 +410,42 @@ class FreeNilGroup:
         if solver is None:
             idx = [i for i in range(len(self.letters))
                    if self.weights[i] == w]
-            monomials = sorted(
-                {m for i in idx for m in self._magnus_letter(i) if len(m) == w})
-            mono_pos = {m: j for j, m in enumerate(monomials)}
-            rows = [tuple(sorted((mono_pos[m], c)
-                                 for m, c in self._magnus_letter(i).items()
-                                 if len(m) == w and c))
-                    for i in idx]
+            leads = [self._magnus_letter(i)[0][w] for i in idx]
+            mono_pos = {m: j for j, m in enumerate(
+                sorted({m for lead in leads for m in lead}))}
+            rows = [tuple(sorted((mono_pos[m], c) for m, c in lead.items()))
+                    for lead in leads]
             solver = (idx, mono_pos, HnfSolver(IntMatrix.from_sparse_rows(
-                len(rows), len(monomials), rows)))
+                len(rows), len(mono_pos), rows)))
             self._solvers[w] = solver
         return solver
 
     def extract(self, z):
         """Recover the normal form whose Magnus image is z.
 
-        Peels one weight layer at a time.  z must be a unit, 1 + (terms of
-        degree >= 1), and the unit coefficient is checked first.  Before
-        layer w the residue is 1 + R, with R of degree >= w; its degree-w
-        part is solved as an integer combination of the leading terms of
-        the weight-w letters, giving the strip S = prod M(b_i)^c_i = 1 + T,
+        z is graded as in magnus_image, one dict of packed monomials per
+        degree, and peeled one weight layer at a time.  z must be a unit, 1 + (terms of degree >= 1), and the
+        unit coefficient is checked first.  Before layer w the residue
+        is 1 + R, with R of degree >= w; its degree-w layer is solved as
+        an integer combination of the leading layers of the weight-w
+        letters' images, giving the strip S = prod M(b_i)^c_i = 1 + T,
         T of degree >= w, and the residue becomes S^-1 (1 + R).  For
         2w <= c, S^-1 is the reversed product of the letters' inverse
-        powers.  For 2w > c, S = 1 + sum c_i X_i and S^-1 = 1 - sum c_i X_i
-        (X_i = M(b_i) - 1), and (1 - T)(1 + R) = 1 + R - T because TR has
-        degree >= 2w > c, so these top layers only subtract.  A layer that
-        is not an integer combination of basic-commutator leading terms,
-        or a residue left over at the end, means z was not the image of a
+        powers, read off their power tables.  For 2w > c,
+        S = 1 + sum c_i X_i and S^-1 = 1 - sum c_i X_i (X_i = M(b_i) - 1),
+        and (1 - T)(1 + R) = 1 + R - T because TR has degree >= 2w > c,
+        so these top layers only subtract.  A layer that is not an
+        integer combination of basic-commutator leading terms, or a
+        residue left over at the end, means z was not the image of a
         group element, which is an internal bug.
         """
-        if z.get((), 0) != 1:
+        if z[0].get(0, 0) != 1:
             raise InternalCheckError("unit coefficient corrupted")
-        nclass = self.nclass
+        nclass, bits = self.nclass, self._bits
         sylls = []
         residue = z
         for w in range(1, nclass + 1):
-            layer = {m: c for m, c in residue.items() if len(m) == w and c}
+            layer = residue[w]
             if not layer:
                 continue
             idx, mono_pos, solver = self._solver(w)
@@ -422,22 +464,22 @@ class FreeNilGroup:
             strip = [(idx[j], c) for j, c in coeffs]
             sylls.extend(strip)
             if 2 * w > nclass:
-                residue = self._add_letters(
-                    dict(residue), [(i, -c) for i, c in strip])
+                residue = _alg_add(residue, [
+                    (-c, self._magnus_letter(i)[0]) for i, c in strip])
                 continue
-            inverse = {(): 1}
+            inverse = _alg_one(nclass)
             for i, c in reversed(strip):
-                inverse = _alg_mul(inverse, _alg_power(
-                    self._magnus_letter(i), -c, nclass), nclass)
-            residue = _alg_mul(inverse, residue, nclass)
-        if any(c for m, c in residue.items() if m):
+                inverse = _alg_mul(inverse, self._letter_power(i, -c, nclass),
+                                   bits)
+            residue = _alg_mul(inverse, residue, bits)
+        if any(residue[1:]):
             raise InternalCheckError("nonidentity residue after extraction")
         return NilWord(self, tuple(sylls))
 
     def multiply_via_model(self, u, v):
         """Independent product via the algebra model (oracle for multiply)."""
         return self.extract(_alg_mul(self.magnus_image(u),
-                                     self.magnus_image(v), self.nclass))
+                                     self.magnus_image(v), self._bits))
 
     # ---- truncation -----------------------------------------------------
 
@@ -623,22 +665,63 @@ class NilHom:
 
 # ---- truncated free associative algebra ---------------------------------
 #
-# Elements are dicts mapping generator-index tuples (noncommutative
-# monomials) to integer coefficients; monomials longer than the class are
-# dropped.  Group elements embed as units 1 + (degree >= 1 terms).
+# An element is graded: a list of c + 1 dicts, layer L mapping each
+# length-L noncommutative monomial to its integer coefficient.  A
+# monomial's generator indices are packed into an int, `bits` bits per
+# letter with the first letter highest, so concatenating x of length L1
+# and y of length L2 is (x << bits * L2) | y and no tuple is hashed.
+# No zero coefficient is stored, monomials longer than the class are
+# dropped, and a list that ends early is zero above its last layer.
+# Group elements embed as units 1 + (degree >= 1 terms).
 
-def _alg_mul(a, b, nclass):
-    by_length = [[] for _ in range(nclass + 1)]
-    for m, c in b.items():
-        by_length[len(m)].append((m, c))
-    out = {}
-    get = out.get
-    for m1, c1 in a.items():
-        for group in by_length[:nclass + 1 - len(m1)]:
-            for m2, c2 in group:
-                key = m1 + m2
-                out[key] = get(key, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
+def _alg_one(nclass):
+    return [{0: 1}] + [{} for _ in range(nclass)]
+
+
+def _alg_add(z, terms):
+    """z + sum s a over the pairs (s, a) in terms, as a new element of
+    z's length."""
+    out = [dict(layer) for layer in z]
+    for s, a in terms:
+        for layer, part in zip(out, a if s else ()):
+            get = layer.get
+            for m, c in part.items():
+                layer[m] = get(m, 0) + s * c
+    return [{m: c for m, c in layer.items() if c} for layer in out]
+
+
+def _alg_mul(a, b, bits):
+    """a b, up to the degree of the longer of the two lists."""
+    top = max(len(a), len(b)) - 1
+    # layer 0 holds the empty monomial 0 alone, so a pair with a factor
+    # in layer 0 scales the other factor's layer: no packing
+    a0, b0 = a[0].get(0, 0), b[0].get(0, 0)
+    out = [{} for _ in range(top + 1)]
+    if a0:
+        out[:len(b)] = [dict(y) if a0 == 1 else
+                        {m: a0 * c for m, c in y.items()} for y in b]
+    for l1 in range(1, len(a)):
+        x = a[l1]
+        if not x:
+            continue
+        if b0:
+            layer = out[l1]
+            get = layer.get
+            for m, c in x.items():
+                layer[m] = get(m, 0) + b0 * c
+        for l2 in range(1, min(len(b), top + 1 - l1)):
+            y = b[l2]
+            if not y:
+                continue
+            shift = bits * l2
+            layer = out[l1 + l2]
+            get = layer.get
+            for m1, c1 in x.items():
+                m1 <<= shift
+                for m2, c2 in y.items():
+                    key = m1 | m2
+                    layer[key] = get(key, 0) + c1 * c2
+    return [{m: c for m, c in layer.items() if c} for layer in out]
 
 
 def _binomials(n, k):
@@ -647,31 +730,3 @@ def _binomials(n, k):
     for i in range(1, k + 1):
         out.append(out[-1] * (n - i + 1) // i)
     return out
-
-
-def _alg_power(a, n, nclass):
-    """a^n = sum over k <= nclass of C(n, k) (a - 1)^k, for a unit a.
-
-    a - 1 has no constant term, so its powers above nclass vanish; the sum
-    is exact for every integer n, negative ones included.
-    """
-    if a.get((), 0) != 1:
-        raise InternalCheckError("powering a non-unit algebra element")
-    x = {m: c for m, c in a.items() if m}
-    out = {(): 1}
-    term = {(): 1}
-    for binom in _binomials(n, nclass)[1:]:
-        if not binom:
-            break
-        term = _alg_mul(term, x, nclass)
-        if not term:
-            break
-        for m, c in term.items():
-            out[m] = out.get(m, 0) + binom * c
-    return {m: c for m, c in out.items() if c}
-
-
-def _alg_comm(a, b, nclass):
-    return _alg_mul(_alg_mul(_alg_power(a, -1, nclass),
-                             _alg_power(b, -1, nclass), nclass),
-                    _alg_mul(a, b, nclass), nclass)

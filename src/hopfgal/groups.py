@@ -212,23 +212,20 @@ class FiniteGroup:
             raise ValidationError("subgroup of a different group")
         if not N.is_normal():
             raise NotNormalError("quotient needs a normal subgroup")
-        rep_of = [None] * self.order
+        # g is the least element of its coset when the scan first meets
+        # it, so the cosets are found in the order of their least elements
+        cls = [None] * self.order
         reps = []
         for g in range(self.order):
-            if rep_of[g] is None:
-                coset = sorted(self.table[g][x] for x in N.members)
-                r = coset[0]
-                reps.append(r)
-                for y in coset:
-                    rep_of[y] = r
-        reps.sort()
-        index = {r: i for i, r in enumerate(reps)}
-        table = [[index[rep_of[self.table[a][b]]] for b in reps]
-                 for a in reps]
+            if cls[g] is None:
+                row = self.table[g]
+                for x in N.members:
+                    cls[row[x]] = len(reps)
+                reps.append(g)
+        table = [[cls[row[b]] for b in reps]
+                 for row in (self.table[a] for a in reps)]
         Q = FiniteGroup(table, validate=False)
-        proj = GroupHom(self, Q, [index[rep_of[g]] for g in range(self.order)],
-                        validate=False)
-        return Q, proj
+        return Q, GroupHom(self, Q, cls, validate=False)
 
     def abelianization(self):
         return self.quotient(self.derived_subgroup())
@@ -456,12 +453,16 @@ def pullback(f, g, max_order=MAX_ORDER):
     for b in B.elements():
         fibres[g(b)].append(b)
     pairs = [(a, b) for a in A.elements() for b in fibres[f(a)]]
-    index = {p: i for i, p in enumerate(pairs)}
-    at, bt = A.table, B.table
+    # the pair (a, b) sits at pos[a |B| + b]
+    nb = B.order
+    pos = [None] * (A.order * nb)
+    for i, (a, b) in enumerate(pairs):
+        pos[a * nb + b] = i
+    at, bt = [[x * nb for x in row] for row in A.table], B.table
     table = []
     for a1, b1 in pairs:
         ra, rb = at[a1], bt[b1]
-        table.append([index[ra[a2], rb[b2]] for a2, b2 in pairs])
+        table.append([pos[ra[a2] + rb[b2]] for a2, b2 in pairs])
     P = FiniteGroup(table, validate=False)
     return (P, GroupHom(P, A, [a for a, _ in pairs], validate=False),
             GroupHom(P, B, [b for _, b in pairs], validate=False))

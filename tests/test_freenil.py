@@ -7,8 +7,9 @@ from hopfgal.corpus import PRESENTED
 from hopfgal.errors import (InternalCheckError, NotAbelianError,
                             NotNormalError, NotSubsetError, SizeLimitError,
                             ValidationError)
-from hopfgal.freenil import (FreeNilGroup, NilHom, _alg_comm, _alg_mul,
-                             _alg_power, free_nil_group, witt_number)
+from hopfgal import freenil
+from hopfgal.freenil import (FreeNilGroup, NilHom, _alg_mul, _alg_one,
+                             _binomials, free_nil_group, witt_number)
 from hopfgal.groups import commutator_subgroup
 from hopfgal.hopf import NilPresentation, build_presentation_cube
 from hopfgal.matrices import (HnfSolver, IntMatrix, lattice_intersection,
@@ -130,14 +131,46 @@ def member_commutators(S):
 #
 # The Magnus model with a full truncated-algebra product for every letter
 # power and every layer strip, with no use of the degree bound that makes
-# letters of weight above c/2 add: an independent route to magnus_image
-# and extract.
+# letters of weight above c/2 add, and every letter power taken by the
+# generic alg_power rather than from the letter's power table: an
+# independent route to magnus_image and extract.
+
+def alg_power(a, n, bits):
+    """a^n = sum over k <= c of C(n, k) (a - 1)^k, for a unit a: a - 1
+    has no constant term, so its powers above c vanish, and the sum is
+    exact for every integer n.  The generic route that
+    FreeNilGroup._letter_power shortens with the letter's power table."""
+    if a[0].get(0, 0) != 1:
+        raise InternalCheckError("powering a non-unit algebra element")
+    x = [{}] + a[1:]
+    out = _alg_one(len(a) - 1)
+    term = None
+    for binom in _binomials(n, len(a) - 1)[1:]:
+        if not binom:
+            break
+        term = x if term is None else _alg_mul(term, x, bits)
+        for layer, part in zip(out, term):
+            for m, c in part.items():
+                layer[m] = layer.get(m, 0) + binom * c
+    return [{m: c for m, c in layer.items() if c} for layer in out]
+
+
+def alg_comm(a, b, bits):
+    """a^-1 b^-1 a b by generic powers: the route FreeNilGroup._bracket
+    shortens."""
+    return _alg_mul(_alg_mul(alg_power(a, -1, bits), alg_power(b, -1, bits),
+                             bits), _alg_mul(a, b, bits), bits)
+
+
+def letter_image(F, i):
+    """M(b_i) = 1 + X_i, from the first entry of the letter's table."""
+    return [{0: 1}] + F._magnus_letter(i)[0][1:]
+
 
 def reference_magnus_image(F, u):
-    z = {(): 1}
+    z = _alg_one(F.nclass)
     for l, e in u.syllables():
-        z = _alg_mul(z, _alg_power(F._magnus_letter(l), e, F.nclass),
-                     F.nclass)
+        z = _alg_mul(z, alg_power(letter_image(F, l), e, F._bits), F._bits)
     return z
 
 
@@ -145,7 +178,7 @@ def reference_extract(F, z):
     exps = [0] * len(F.letters)
     residue = z
     for w in range(1, F.nclass + 1):
-        layer = {m: c for m, c in residue.items() if len(m) == w and c}
+        layer = {m: c for m, c in residue[w].items() if c}
         if not layer:
             continue
         idx, mono_pos, solver = F._solver(w)
@@ -160,17 +193,17 @@ def reference_extract(F, z):
         if coeffs is None:
             raise InternalCheckError(
                 "weight-%d layer is not an integer Hall combination" % w)
-        strip = {(): 1}
+        strip = _alg_one(F.nclass)
         for j, c in coeffs:
             i = idx[j]
             exps[i] = c
-            strip = _alg_mul(strip, _alg_power(F._magnus_letter(i), c,
-                                               F.nclass), F.nclass)
-        residue = _alg_mul(_alg_power(strip, -1, F.nclass), residue,
-                           F.nclass)
-    if any(c for m, c in residue.items() if m):
+            strip = _alg_mul(strip, alg_power(letter_image(F, i), c,
+                                               F._bits), F._bits)
+        residue = _alg_mul(alg_power(strip, -1, F._bits), residue,
+                           F._bits)
+    if any(c for layer in residue[1:] for c in layer.values()):
         raise InternalCheckError("nonidentity residue after extraction")
-    if residue.get((), 0) != 1:
+    if residue[0].get(0, 0) != 1:
         raise InternalCheckError("unit coefficient corrupted")
     return F.word(exps)
 
@@ -299,7 +332,7 @@ class TestCollection:
                 assert F.multiply(v, u) == F.multiply_via_model(v, u)
             x = word_from(nclass // 2 + 1)
             assert x.inverse() == F.extract(
-                _alg_power(F.magnus_image(x), -1, nclass))
+                alg_power(F.magnus_image(x), -1, F._bits))
 
     def test_syllables_are_an_immutable_cache(self):
         F = FreeNilGroup(2, 3)
@@ -384,10 +417,10 @@ class TestHallPolynomials:
         for t, l in [(1, 0)] + rng.sample(pairs, 5):
             for f in exponents:
                 for e in exponents:
-                    direct = F.extract(_alg_comm(
-                        _alg_power(F._magnus_letter(t), f, nclass),
-                        _alg_power(F._magnus_letter(l), e, nclass),
-                        nclass))
+                    direct = F.extract(alg_comm(
+                        alg_power(letter_image(F, t), f, F._bits),
+                        alg_power(letter_image(F, l), e, F._bits),
+                        F._bits))
                     assert F.tail(t, l, f, e) == direct.syllables()
 
     def test_tail_of_commuting_letters_is_empty(self):
@@ -400,17 +433,19 @@ class TestHallPolynomials:
         rng = random.Random(415)
         F = FreeNilGroup(2, 4)
         a = F.magnus_image(random_word(F, rng))
-        one = {(): 1}
+        bits = F._bits
+        one = _alg_one(4)
         acc = one
         for n in range(7):
-            assert _alg_power(a, n, 4) == acc
-            assert _alg_mul(_alg_power(a, -n, 4), acc, 4) == one
-            assert _alg_mul(acc, _alg_power(a, -n, 4), 4) == one
-            acc = _alg_mul(acc, a, 4)
+            assert alg_power(a, n, bits) == acc
+            assert _alg_mul(alg_power(a, -n, bits), acc, bits) == one
+            assert _alg_mul(acc, alg_power(a, -n, bits), bits) == one
+            acc = _alg_mul(acc, a, bits)
 
     def test_power_of_non_unit_rejected(self):
+        # 2 + x0 at class 2
         with pytest.raises(InternalCheckError):
-            _alg_power({(): 2, (0,): 1}, 3, 2)
+            alg_power([{0: 2}, {0: 1}, {}], 3, 1)
 
 
 MODEL_SHAPES = [(2, 6), (3, 5), (4, 3), (5, 4)]
@@ -432,7 +467,7 @@ class TestMagnusModel:
                 z = F.magnus_image(word)
                 assert z == reference_magnus_image(F, word)
                 assert F.extract(z) == reference_extract(F, z) == word
-            z = _alg_mul(F.magnus_image(u), F.magnus_image(v), nclass)
+            z = _alg_mul(F.magnus_image(u), F.magnus_image(v), F._bits)
             assert F.extract(z) == reference_extract(F, z) == u.mul(v)
 
     @pytest.mark.parametrize("rank,nclass", MODEL_SHAPES)
@@ -445,8 +480,8 @@ class TestMagnusModel:
                  if w[t] + w[l] <= nclass]
         for t, l in rng.sample(pairs, min(6, len(pairs))):
             f, e = rng.randint(-50, 50), rng.randint(-50, 50)
-            z = _alg_comm(_alg_power(F._magnus_letter(t), f, nclass),
-                          _alg_power(F._magnus_letter(l), e, nclass), nclass)
+            z = alg_comm(alg_power(letter_image(F, t), f, F._bits),
+                         alg_power(letter_image(F, l), e, F._bits), F._bits)
             assert F.extract(z) == reference_extract(F, z)
 
     def test_letter_weights_are_nondecreasing(self):
@@ -461,20 +496,78 @@ class TestMagnusModel:
         # at class 5, layers 1 and 2 strip by products and layers 3 to 5
         # by subtraction; length 0 corrupts the unit coefficient.  A
         # single monomial of length >= 2 is no Lie element: the
-        # coefficients of a bracket sum to 0 over each multidegree.
+        # coefficients of a bracket sum to 0 over each multidegree.  The
+        # monomial x0 ... x0 x1 packs to 1, the empty one to 0.
         rng = random.Random(423)
         F = free_nil_group(3, 5)
         top = [2 * w > 5 for w in F.weights]
         u = random_word(F, rng, spread=9)
         x = F.word([rng.randint(-9, 9) if t else 0 for t in top])
-        m = (0,) * (length - 1) + (1,) if length else ()
+        m = 1 if length else 0
         for word in (u, x):
             z = F.magnus_image(word)
-            z[m] = z.get(m, 0) + 1
+            z[length][m] = z[length].get(m, 0) + 1
             with pytest.raises(InternalCheckError):
                 F.extract(z)
             with pytest.raises(InternalCheckError):
                 reference_extract(F, z)
+
+
+class TestGradedModel:
+    def test_monomials_pack_letters_first_highest(self):
+        # rank 3 packs two bits a letter: x1 x0 is 0b0100, x0 x1 is 0b0001
+        F = FreeNilGroup(3, 2)
+        assert F._bits == 2
+        assert letter_image(F, 1) == [{0: 1}, {1: 1}, {}]
+        assert letter_image(F, 3) == [{0: 1}, {}, {0b0100: 1, 0b0001: -1}]
+        assert FreeNilGroup(1, 3)._bits == 1
+
+    @pytest.mark.parametrize("rank,nclass", [(3, 5), (4, 5)])
+    def test_bracket_images_match_generic_commutators(self, rank, nclass):
+        F = FreeNilGroup(rank, nclass)
+        for i, letter in enumerate(F.letters):
+            if letter.left is not None:
+                assert letter_image(F, i) == alg_comm(
+                    letter_image(F, letter.left),
+                    letter_image(F, letter.right), F._bits), letter
+
+    @pytest.mark.parametrize("rank,nclass", [(3, 5), (4, 5)])
+    def test_power_tables_match_generic_powers(self, rank, nclass):
+        F = FreeNilGroup(rank, nclass)
+        big = 10 ** 12 + 3
+        for l, w in enumerate(F.weights):
+            assert len(F._magnus_letter(l)) == nclass // w
+            image = letter_image(F, l)
+            for e in list(range(-7, 8)) + [big, -big]:
+                assert F._letter_power(l, e, nclass) == \
+                    alg_power(image, e, F._bits), (l, e)
+
+    def test_truncated_power_is_a_prefix(self):
+        F = free_nil_group(2, 6)
+        for l in range(len(F.letters)):
+            for e in (-5, 3):
+                whole = F._letter_power(l, e, 6)
+                for top in range(7):
+                    assert F._letter_power(l, e, top) == whole[:top + 1]
+
+    def test_letter_images_form_few_products(self, monkeypatch):
+        # every letter image of FreeNilGroup(4, 5), its power table
+        # included, takes 774 products: XY and YX for each bracket, the
+        # inverse powers and their product below the top weight, and
+        # X^k for the letters of weight <= 2.  The alg_comm route takes
+        # 2103 for the bracket images alone.
+        calls = []
+        mul = freenil._alg_mul
+
+        def counting(a, b, bits):
+            calls.append(1)
+            return mul(a, b, bits)
+
+        monkeypatch.setattr(freenil, "_alg_mul", counting)
+        F = FreeNilGroup(4, 5)
+        for i in range(len(F.letters)):
+            F._magnus_letter(i)
+        assert len(calls) <= 800, len(calls)
 
 
 class TestNilHom:

@@ -162,6 +162,43 @@ def test_pullback_matches_fibres_of_direct_product():
     assert pairs == 1122
 
 
+def naive_quotient_table(G, N):
+    """G/N's table and projection, with the cosets as sets numbered in
+    the order of their least elements."""
+    cosets = sorted({frozenset(G.mul(g, n) for n in N.members)
+                     for g in G.elements()}, key=min)
+    number = {c: i for i, c in enumerate(cosets)}
+    of = {g: number[c] for c in cosets for g in c}
+    table = tuple(tuple(of[G.mul(min(a), min(b))] for b in cosets)
+                  for a in cosets)
+    return table, tuple(of[g] for g in G.elements())
+
+
+def naive_pullback_table(f, g):
+    """The fibre product's table, looking each product pair up by value."""
+    A, B = f.domain, g.domain
+    pairs = [(a, b) for a in A.elements() for b in B.elements()
+             if f(a) == g(b)]
+    index = {p: i for i, p in enumerate(pairs)}
+    table = tuple(tuple(index[A.mul(a1, a2), B.mul(b1, b2)]
+                        for a2, b2 in pairs) for a1, b1 in pairs)
+    return table, [a for a, _ in pairs], [b for _, b in pairs]
+
+
+def test_quotient_and_pullback_match_naive_tables():
+    extensions = enumerate_extensions(12)
+    for _, _, f in extensions:
+        A = f.domain
+        Q, proj = A.quotient(f.kernel())
+        table, mapping = naive_quotient_table(A, f.kernel())
+        assert Q.table == table and proj.mapping == mapping
+        P, p1, p2 = pullback(f, f)
+        table, m1, m2 = naive_pullback_table(f, f)
+        assert P.table == table
+        assert list(p1.mapping) == m1 and list(p2.mapping) == m2
+    assert len(extensions) == 180
+
+
 def test_pullback_bound_is_on_the_product_order():
     Z4, Z2 = cyclic(4), cyclic(2)
     f = GroupHom(Z4, Z2, [0, 1, 0, 1])
