@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import SizeLimitError, ValidationError
-from .groups import FiniteGroup, GroupHom, identity_hom
+from .groups import GroupHom, identity_hom
 
 MAX_CUBE_DIMENSION = 3
 _MAX_LIMIT_ENUM = 200_000
@@ -157,9 +157,9 @@ class CubeMorphism:
 def punctured_limit(cube, mask):
     """Limit of the cube strictly below `mask`, with the comparison map.
 
-    Returns (limit group, member tuples, comparison hom from object(mask)).
-    Members are tuples indexed by the coatoms of `mask` in increasing
-    bitmask order, compatible over every pairwise meet.
+    Returns (member tuples, comparison mapping of object(mask) into
+    their indices).  Members are tuples indexed by the coatoms of `mask`
+    in increasing bitmask order, compatible over every pairwise meet.
     """
     if mask == 0:
         raise ValidationError("the empty subset has no punctured limit")
@@ -181,27 +181,18 @@ def punctured_limit(cube, mask):
     for tup in itertools.product(*(range(g.order) for g in groups)):
         if all(fa(tup[a]) == fb(tup[b]) for a, b, fa, fb in pair_maps):
             members.append(tup)
-    members.sort()
     index = {tup: k for k, tup in enumerate(members)}
-    table = []
-    for ta in members:
-        row = []
-        for tb in members:
-            row.append(index[tuple(g.mul(x, y)
-                                   for g, x, y in zip(groups, ta, tb))])
-        table.append(row)
-    limit = FiniteGroup(table, validate=False)
-    src = cube.objects[mask]
     comps = [cube.hom(mask, c) for c in coatoms]
-    mapping = [index[tuple(f(g) for f in comps)] for g in src.elements()]
-    return limit, members, GroupHom(src, limit, mapping, validate=False)
+    mapping = [index[tuple(f(g) for f in comps)]
+               for g in cube.objects[mask].elements()]
+    return members, mapping
 
 
 def is_n_extension(cube):
     """Every comparison map into a punctured limit is surjective."""
     for mask in range(1, 1 << cube.n):
-        limit, _, cmp_hom = punctured_limit(cube, mask)
-        if len(set(cmp_hom.mapping)) != limit.order:
+        members, mapping = punctured_limit(cube, mask)
+        if len(set(mapping)) != len(members):
             return False
     return True
 
@@ -251,7 +242,7 @@ def cube_from_normal_subgroups(G, normals, check_extension=True):
 
 # ---- face calculus --------------------------------------------------------
 
-def _restriction(cube, fixed, dirs, check_extension=False):
+def _restriction(cube, fixed, dirs):
     objects = {}
     faces = {}
     for mask in range(1 << len(dirs)):
@@ -262,8 +253,7 @@ def _restriction(cube, fixed, dirs, check_extension=False):
                 s = t & ~(1 << k)
                 faces[(t, s)] = cube.faces[(_expand(t, dirs) | fixed,
                                             _expand(s, dirs) | fixed)]
-    return CubeExtension(len(dirs), objects, faces,
-                         check_extension=check_extension)
+    return CubeExtension(len(dirs), objects, faces, check_extension=False)
 
 
 def rho_i(cube, i):
@@ -295,11 +285,9 @@ def delta_i(cube, i):
 
 
 def delta_inverse(morphism, i):
-    """Reassemble the n-cube whose direction-i arrow view is `morphism`."""
+    """Reassemble the n-cube whose direction-i arrow view is `morphism`;
+    CubeExtension checks that n is at most MAX_CUBE_DIMENSION."""
     n = morphism.dom.n + 1
-    if n > MAX_CUBE_DIMENSION:
-        raise SizeLimitError("cube dimension capped at %d"
-                             % MAX_CUBE_DIMENSION)
     if not 0 <= i < n:
         raise ValidationError("direction out of range")
     dirs = [d for d in range(n) if d != i]

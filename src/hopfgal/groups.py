@@ -206,24 +206,25 @@ class FiniteGroup:
         """Quotient by a normal subgroup: (group, projection).
 
         Coset representatives are the minimal indices, so the identity
-        coset is represented by 0.
+        coset is represented by 0.  N is normal iff Ng lies in gN for
+        each representative g, as N^(gn) = (N^g)^n for n in N.
         """
         if N.ambient is not self:
             raise ValidationError("subgroup of a different group")
-        if not N.is_normal():
-            raise NotNormalError("quotient needs a normal subgroup")
         # g is the least element of its coset when the scan first meets
         # it, so the cosets are found in the order of their least elements
+        t = self.table
         cls = [None] * self.order
         reps = []
         for g in range(self.order):
             if cls[g] is None:
-                row = self.table[g]
+                row = t[g]
                 for x in N.members:
                     cls[row[x]] = len(reps)
+                if any(cls[t[x][g]] != cls[g] for x in N.members):
+                    raise NotNormalError("quotient needs a normal subgroup")
                 reps.append(g)
-        table = [[cls[row[b]] for b in reps]
-                 for row in (self.table[a] for a in reps)]
+        table = [[cls[row[b]] for b in reps] for row in (t[a] for a in reps)]
         Q = FiniteGroup(table, validate=False)
         return Q, GroupHom(self, Q, cls, validate=False)
 
@@ -296,15 +297,10 @@ class Subgroup:
                         _checked=True)
 
     def product_with(self, other):
-        """HK as a subgroup; requires one factor normal so HK is closed."""
+        """<H, K>, which is HK when one factor is normal, as HK = KH."""
         if self.ambient is not other.ambient:
             raise ValidationError("subgroups of different groups")
-        if not (self.is_normal() or other.is_normal()):
-            raise NotNormalError("HK needs a normal factor")
-        t = self.ambient.table
-        return Subgroup(self.ambient,
-                        {t[h][k] for h in self.members for k in other.members},
-                        _checked=True)
+        return self.ambient.generated_subgroup(self.members + other.members)
 
     def as_group(self):
         """(the subgroup as a group in its own right, inclusion hom)."""
@@ -403,7 +399,7 @@ def inner_automorphism(G, g):
 class DirectProduct:
     """A x B with its projections; element (a, b) is a * |B| + b."""
 
-    __slots__ = ("group", "right", "proj0", "proj1")
+    __slots__ = ("group", "proj0", "proj1")
 
     def __init__(self, A, B, max_order=MAX_ORDER):
         n = _product_order(A, B, max_order)
@@ -420,14 +416,10 @@ class DirectProduct:
                     for b2 in range(bo):
                         r[a2 * bo + b2] = base + rb[b2]
         self.group = FiniteGroup(table, validate=False)
-        self.right = B
         self.proj0 = GroupHom(self.group, A, [i // bo for i in range(n)],
                               validate=False)
         self.proj1 = GroupHom(self.group, B, [i % bo for i in range(n)],
                               validate=False)
-
-    def pair(self, a, b):
-        return a * self.right.order + b
 
 
 def _product_order(A, B, max_order):
@@ -468,41 +460,22 @@ def pullback(f, g, max_order=MAX_ORDER):
             GroupHom(P, B, [b for _, b in pairs], validate=False))
 
 
-def pairing_hom(f, g):
-    """<f, g>: common domain -> codomain(f) x codomain(g)."""
-    if f.domain is not g.domain:
-        raise ValidationError("pairing needs a common domain")
-    prod = DirectProduct(f.codomain, g.codomain)
-    return GroupHom(f.domain, prod.group,
-                    [prod.pair(f(x), g(x)) for x in f.domain.elements()],
-                    validate=False), prod
-
-
 def commutator_subgroup(H, K):
-    """[H, K], the standard commutator subgroup.
-
-    Generated by all pairwise commutators and kept stable under
-    conjugation by elements of H and K.
-    """
+    """[H, K], generated by the [h, k] alone: H and K normalise that, as
+    [x,y]^z = [xz,y][z,y]^-1 (z in H) and [x,z]^-1[x,yz] (z in K)."""
     if H.ambient is not K.ambient:
         raise ValidationError("subgroups of different groups")
     G = H.ambient
     gens = {G.commutator(h, k) for h in H.members for k in K.members}
     gens.discard(0)
-    while True:
-        sub = G.generated_subgroup(sorted(gens))
-        extra = {G.conjugate(x, g)
-                 for x in sub.members
-                 for g in H.members + K.members} - set(sub.members)
-        if not extra:
-            return sub
-        gens |= extra
+    return G.generated_subgroup(sorted(gens))
 
 
 def closure_P(A, K, primes):
     """Preimage of the local torsion of A/K; K must contain [A,A].
 
     Equivalently {a : a^m in K for some number m of the prime set}.
+    Such a K is normal, as A/[A,A] is abelian, so quotient's check holds.
 
     >>> from hopfgal.corpus import cyclic
     >>> Z12 = cyclic(12)
@@ -512,8 +485,6 @@ def closure_P(A, K, primes):
     """
     if K.ambient is not A:
         raise ValidationError("subgroup of a different group")
-    if not K.is_normal():
-        raise NotNormalError("closure needs a normal subgroup")
     if not K.contains_subgroup(A.derived_subgroup()):
         raise NotSubsetError("closure needs K to contain the commutator "
                              "subgroup")
@@ -586,7 +557,8 @@ def minimal_generating_indices(G):
 
 
 def all_homs(A, B):
-    """Every homomorphism A -> B, by extending generator images."""
+    """Every homomorphism A -> B, by extending generator images; a map
+    that respects every Cayley edge x -> xg is a hom, by induction on |y|."""
     gens = minimal_generating_indices(A)
     if not gens:
         return [GroupHom(A, B, [0] * A.order, validate=False)]
@@ -615,14 +587,8 @@ def all_homs(A, B):
     def rec(i):
         if i == len(gens):
             mapping = extend(assignment)
-            if mapping is None:
-                return
-            dt, bt = A.table, B.table
-            for a in range(A.order):
-                for b in range(A.order):
-                    if mapping[dt[a][b]] != bt[mapping[a]][mapping[b]]:
-                        return
-            out.append(GroupHom(A, B, mapping, validate=False))
+            if mapping is not None:
+                out.append(GroupHom(A, B, mapping, validate=False))
             return
         for h in pools[i]:
             assignment[i] = h

@@ -271,9 +271,13 @@ class TestGaloisCommand:
         assert "hom file" in err
 
 
-def _hom_text(mapping):
-    return json.dumps({"domain": {"name": "Z2"}, "codomain": {"name": "Z2"},
+def _hom_text(mapping, domain="Z2"):
+    return json.dumps({"domain": {"name": domain}, "codomain": {"name": "Z2"},
                        "mapping": mapping})
+
+
+_SIGN = surjections_up_to_precomposition(named_group("S3"),
+                                         named_group("Z2"))[0].mapping
 
 
 @pytest.mark.parametrize("text", [
@@ -365,6 +369,15 @@ MALFORMED = [
     pytest.param("homology", "--presentation",
                  b"gens: x\nrels: " + b"x" * 12000 + b"?x\nclass: 1\n",
                  id="long-relator-quoted-in-a-window"),
+    pytest.param(["galois", "is-trivial"], "--hom",
+                 _hom_text([0, 0, 0, 0], "Z4").encode(),
+                 id="is-trivial-on-a-map-that-is-not-onto"),
+    pytest.param(["galois", "group"], "--hom",
+                 _hom_text(list(_SIGN), "S3").encode(),
+                 id="galois-group-of-an-extension-that-is-not-normal"),
+    pytest.param(["galois", "centralize", "--primes", "2"], "--hom",
+                 _hom_text([0, 1, 0, 1], "Z4").encode(),
+                 id="centralize-with-primes"),
 ]
 
 

@@ -5,8 +5,8 @@ import pytest
 from hopfgal.abelian import FgAbelianGroup, PrimeSet
 from hopfgal.checks import enumerate_extensions
 from hopfgal.corpus import (
-    abelian, cyclic, dihedral, group_from_json, klein4, named_group,
-    nilpotent_corpus, quaternion8, symmetric,
+    abelian, cyclic, dihedral, full_corpus, group_from_json, klein4,
+    named_group, nilpotent_corpus, quaternion8, symmetric,
 )
 from hopfgal.errors import (
     NotAbelianError, NotNormalError, NotSubsetError, SizeLimitError,
@@ -16,14 +16,23 @@ from hopfgal.groups import (
     DirectProduct, FiniteGroup, GroupHom, Subgroup, all_homs, closure_P,
     commutator_subgroup, from_permutations, identity_hom,
     inner_automorphism, local_torsion_is_trivial, minimal_generating_indices,
-    pairing_hom, pullback, surjections, surjections_up_to_precomposition,
+    pullback, surjections, surjections_up_to_precomposition,
 )
 
 
-def normal_closure(G, gens):
-    """The normal closure of `gens` in G: all their conjugates, closed."""
+def normal_closure(G, gens, by=None):
+    """The normal closure of `gens` in G, or in the subgroup `by`: all
+    their conjugates, closed."""
+    conjugators = G.elements() if by is None else by.members
     return G.generated_subgroup(sorted({G.conjugate(x, g) for x in gens
-                                        for g in G.elements()}))
+                                        for g in conjugators}))
+
+
+def two_generated_subgroups(G):
+    """Every subgroup <a, b> of G, once each, in order of members."""
+    return sorted({G.generated_subgroup([a, b])
+                   for a in G.elements() for b in G.elements()},
+                  key=lambda H: H.members)
 
 
 def test_table_validation():
@@ -84,6 +93,24 @@ def test_commutator_subgroup_examples():
                                Q8.full_subgroup()).members == (0, 1)
 
 
+def test_commutator_subgroup_is_normalised_by_its_factors():
+    # reference: the commutators closed under conjugation by <H, K>,
+    # for factors that are not normal in the whole group
+    pairs = 0
+    for G in (symmetric(3), dihedral(4), symmetric(4)):
+        factors = [H for H in two_generated_subgroups(G)
+                   if not H.is_normal()]
+        for H in factors:
+            for K in factors:
+                gens = [G.commutator(h, k)
+                        for h in H.members for k in K.members]
+                span = G.generated_subgroup(H.members + K.members)
+                assert commutator_subgroup(H, K) == \
+                    normal_closure(G, gens, by=span)
+                pairs += 1
+    assert pairs == 9 + 16 + 676
+
+
 def test_derived_equals_abelianization_kernel():
     for _, G in nilpotent_corpus() + [("S3", symmetric(3)),
                                       ("S4", symmetric(4))]:
@@ -107,6 +134,23 @@ def test_quotient_examples():
     with pytest.raises(NotNormalError):
         S3.quotient(S3.generated_subgroup([next(
             g for g in S3.elements() if S3.element_order(g) == 2)]))
+
+
+def test_quotient_rejects_exactly_the_non_normal_subgroups():
+    for G in (symmetric(3), dihedral(4), quaternion8(), symmetric(4)):
+        subgroups = two_generated_subgroups(G)
+        for N in subgroups:
+            if N.is_normal():
+                _, proj = G.quotient(N)
+                assert proj.kernel() == N
+            else:
+                with pytest.raises(NotNormalError):
+                    G.quotient(N)
+        normals = [N for N in subgroups if N.is_normal()]
+        for H in normals:
+            for K in normals:
+                assert set(H.product_with(K).members) == \
+                    {G.mul(h, k) for h in H.members for k in K.members}
 
 
 def test_quotient_kernel_round_trip():
@@ -150,8 +194,9 @@ def test_pullback_matches_fibres_of_direct_product():
         for f in homs:
             for g in homs:
                 prod = DirectProduct(f.domain, g.domain)
+                nb = g.domain.order  # (a, b) is a * |B| + b in A x B
                 sub = Subgroup(prod.group,
-                               [prod.pair(a, b) for a in f.domain.elements()
+                               [a * nb + b for a in f.domain.elements()
                                 for b in g.domain.elements() if f(a) == g(b)])
                 want, incl = sub.as_group()
                 P, p1, p2 = pullback(f, g)
@@ -370,6 +415,48 @@ def test_hom_enumeration():
         GroupHom(h.domain, h.codomain, h.mapping)  # re-validate
 
 
+def brute_force_homs(A, B):
+    """Every map A -> B that is a hom, by a search over the images of
+    0, 1, 2, ... that drops a partial map once a product it fixes fails."""
+    t, u = A.table, B.table
+    out = []
+    images = [0]
+
+    def consistent(i):
+        return all(u[images[a]][images[b]] == images[t[a][b]]
+                   for a in range(i + 1) for b in range(i + 1)
+                   if t[a][b] <= i and i in (a, b, t[a][b]))
+
+    def rec():
+        i = len(images)
+        if i == A.order:
+            out.append(tuple(images))
+            return
+        for h in B.elements():
+            images.append(h)
+            if consistent(i):
+                rec()
+            images.pop()
+
+    if consistent(0):
+        rec()
+    return out
+
+
+def test_all_homs_match_a_search_over_all_maps():
+    corpus = [G for _, G in full_corpus()]
+    pairs = 0
+    for A in corpus:
+        if A.order > 6:
+            continue
+        for B in corpus:
+            got = [f.mapping for f in all_homs(A, B)]
+            assert len(set(got)) == len(got)
+            assert sorted(got) == brute_force_homs(A, B)
+            pairs += 1
+    assert pairs == 7 * 22
+
+
 def test_surjections_up_to_precomposition():
     Q8, V4 = quaternion8(), klein4()
     reps = surjections_up_to_precomposition(Q8, V4)
@@ -390,8 +477,8 @@ def test_pairing_and_inner():
     Z6 = cyclic(6)
     f = GroupHom(Z6, cyclic(2), [0, 1, 0, 1, 0, 1])
     g = GroupHom(Z6, cyclic(3), [0, 1, 2, 0, 1, 2])
-    pair, _ = pairing_hom(f, g)
-    assert len(pair.kernel()) == 1  # Z6 embeds in Z2 x Z3
+    # the kernel of <f, g>: Z6 embeds in Z2 x Z3
+    assert f.kernel().intersection(g.kernel()) == Z6.trivial_subgroup()
     D4 = dihedral(4)
     for a in D4.elements():
         inner_automorphism(D4, a)  # validates as a hom on construction

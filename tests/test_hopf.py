@@ -15,6 +15,7 @@ from hopfgal.corpus import (PRESENTED, TRIVIAL_PRESENTED, abelian, cyclic,
 from hopfgal.errors import SizeLimitError, ValidationError
 from hopfgal.freenil import (MAX_BASIS, FreeNilGroup, NilHom, free_nil_group,
                              witt_number)
+from hopfgal.groups import FiniteGroup
 from hopfgal.hopf import (
     MAX_NESTING, HopfResult, NilPresentation, build_presentation_cube,
     evaluate_cube, hopf_pi_n, parse_presentation,
@@ -676,6 +677,19 @@ class TestHigherDegree:
         r = hopf_pi_n(checks.presentation_for("D4"), 2, max_class=5)
         assert r.stabilization == "UNSTABLE" or \
             r.value == homology(named_group("D4"), 3)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1: STABLE Z/2+Z/2+Z/4+Z/4 at max_class=5, where the "
+        "bar oracle gives Z/2+Z/4+Z/4"))
+    def test_z4_by_z4_degree_three_is_right_or_unstable(self):
+        # Z4 x| Z4 = <a, b | a^4, b^4, a^b = a^-1>: a^i b^j is 4i + j
+        table = [[4 * ((i + (-1) ** j * k) % 4) + (j + m) % 4
+                  for k in range(4) for m in range(4)]
+                 for i in range(4) for j in range(4)]
+        p = NilPresentation(["a", "b"], ["a^4", "b^4", "[a,b]a^2"], 2)
+        r = hopf_pi_n(p, 2, max_class=5)
+        assert r.stabilization == "UNSTABLE" or \
+            r.value == homology(FiniteGroup(table), 3, max_order=16)
 
     def test_class_budget_is_validated(self):
         with pytest.raises(ValidationError):
