@@ -7,8 +7,11 @@ what every cross-check in the package ultimately compares.
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from .errors import SizeLimitError, ValidationError
 from .matrices import IntMatrix, divisibility_chain, left_kernel, snf_diagonal
+
+# primality is checked by trial division, which takes about 0.15 s at 10^12
+MAX_PRIME = 10 ** 12
 
 
 def _is_prime(n):
@@ -38,6 +41,8 @@ class PrimeSet:
     def __init__(self, primes=()):
         ps = sorted(set(int(p) for p in primes))
         for p in ps:
+            if p > MAX_PRIME:
+                raise SizeLimitError("prime exceeds the bound %d" % MAX_PRIME)
             if not _is_prime(p):
                 raise ValidationError("not a prime: %r" % (p,))
         self.primes = tuple(ps)

@@ -338,7 +338,7 @@ def check_matrix_forms(count=120, seed=20260814):
     return report
 
 
-def check_bar_differential(max_order=8, top_degree=3):
+def check_bar_differential(max_order=8):
     """d after d vanishes on the normalized bar complex, and the rows of
     d_{n+1} that start with a generator have the invariant factors of
     all its rows (the lemma `bar.homology` rests on).  Each (group,
@@ -349,7 +349,7 @@ def check_bar_differential(max_order=8, top_degree=3):
         gens = minimal_generating_indices(G)
         # the degree-4 boundary of an order-8 group is already a
         # 2401 x 343 matrix; cap the degree where the basis explodes
-        top = top_degree if G.order <= 6 else min(top_degree, 2)
+        top = 3 if G.order <= 6 else 2
         for n in range(1, top + 1):
             d_up = bar_boundary(G, n + 1)
             dd = d_up.mul(bar_boundary(G, n))
@@ -369,20 +369,14 @@ def check_bar_differential(max_order=8, top_degree=3):
 _LOCALIZATION_PRIME_SETS = ((), (2,), (3,), (2, 3))
 
 
-def check_localization_identity(max_order=16, prime_sets=None, bar_cache=None):
+def check_localization_identity(max_order=16):
     """Localized Hopf values match the oracle's torsion quotients."""
     report = CheckReport("localization")
-    if prime_sets is None:
-        prime_sets = _LOCALIZATION_PRIME_SETS
-    if bar_cache is None:
-        bar_cache = {}
     for name, pres, G in presented_nilpotent_corpus():
         if G.order > max_order:
             continue
-        if name not in bar_cache:
-            bar_cache[name] = homology(G, 2)
-        oracle = bar_cache[name]
-        for ps in prime_sets:
+        oracle = homology(G, 2)
+        for ps in _LOCALIZATION_PRIME_SETS:
             got = hopf_pi_n(pres, n=1, primes=list(ps)).value
             want = oracle.quotient_by_torsion(PrimeSet(ps))
             report.record(got == want,
@@ -393,25 +387,19 @@ def check_localization_identity(max_order=16, prime_sets=None, bar_cache=None):
 
 # ---- suite registry --------------------------------------------------------
 
-def run_suite(names, seed=20260814, max_order=12, counts=None):
+def run_suite(names, seed=20260814, max_order=12):
     """Run the requested suites and return their reports in order.
 
     `names` is an iterable of suite names, or the words 'all' / 'none'.
-    Counts may override the per-suite batch sizes by name.
     """
-    counts = counts or {}
     registry = {
-        "closure": lambda: check_closure_laws(
-            counts.get("closure", 500), seed),
+        "closure": lambda: check_closure_laws(seed=seed),
         "centrality": lambda: check_centrality(max_order),
         "characterisation": lambda: check_characterisation(max_order),
-        "baer": lambda: check_baer_invariance(
-            counts.get("baer", 100), max_order),
-        "cubes": lambda: check_cube_laws(counts.get("cubes", 200), seed),
-        "collection": lambda: check_collection(
-            counts.get("collection", 1000), seed),
-        "matrices": lambda: check_matrix_forms(
-            counts.get("matrices", 120), seed),
+        "baer": lambda: check_baer_invariance(max_order=max_order),
+        "cubes": lambda: check_cube_laws(seed=seed),
+        "collection": lambda: check_collection(seed=seed),
+        "matrices": lambda: check_matrix_forms(seed=seed),
         "bar": lambda: check_bar_differential(min(max_order, 8)),
         "localization": lambda: check_localization_identity(max_order),
     }

@@ -88,13 +88,12 @@ class RunReport:
 
 
 def _parse_primes(text):
-    if not text:
-        return []
     try:
-        return sorted({int(p) for p in text.split(",") if p.strip()})
+        primes = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ValidationError("--primes wants a comma-separated integer "
                               "list, got %r" % text)
+    return PrimeSet(primes)
 
 
 def _read_text(path):
@@ -165,7 +164,7 @@ def cmd_homology(args, argv):
     primes = _parse_primes(args.primes)
     report.inputs["degree"] = args.degree
     report.inputs["method"] = args.method
-    report.inputs["primes"] = primes
+    report.inputs["primes"] = list(primes)
     pres, group = _load_homology_inputs(args, report)
 
     if args.method in ("hopf", "both"):
@@ -179,8 +178,8 @@ def cmd_homology(args, argv):
     if args.method in ("bar", "both"):
         started = time.time()
         value = homology(group, args.degree, _env_max_order(None))
-        if primes:
-            value = value.quotient_by_torsion(PrimeSet(primes))
+        if primes.primes:
+            value = value.quotient_by_torsion(primes)
         report.time("bar", started)
         report.results["bar"] = _factors_json(value)
     if args.method == "both":
@@ -220,10 +219,10 @@ def _hom_from_file(path):
 def cmd_galois(args, argv):
     report = RunReport(argv)
     primes = _parse_primes(args.primes)
-    ctx = GaloisContext(primes or None)
+    ctx = GaloisContext(primes)
     f, raw = _hom_from_file(args.hom)
     report.inputs["hom"] = _digest(raw)
-    report.inputs["primes"] = primes
+    report.inputs["primes"] = list(primes)
     started = time.time()
     if args.question == "is-trivial":
         report.results["trivial"] = is_trivial_ext(ctx, f)

@@ -106,6 +106,10 @@ class FreeNilGroup:
     def __init__(self, rank, nclass, max_basis=MAX_BASIS):
         if rank < 1 or nclass < 1:
             raise ValidationError("need rank >= 1 and class >= 1")
+        if nclass > max_basis:
+            # each weight adds a Hall letter at rank >= 2; bound rank 1 too
+            raise SizeLimitError("class %d exceeds the Hall basis bound %d"
+                                 % (nclass, max_basis))
         self.rank = rank
         self.nclass = nclass
         letters = [HallLetter(i, 1) for i in range(rank)]

@@ -18,6 +18,8 @@ first (length as read, then row index) and clears a unit's column in one
 pass.  The pivot order fixes the fill-in: taken in row order, the pivots
 followed whatever order the rows came in, and a row-shuffled degree-4
 bar boundary of Q8 took over a minute instead of a fraction of a second.
+What no unit clears is finished by the Hermite elimination, run on the
+remainder and on its transpose in turn until the form is diagonal.
 """
 
 from __future__ import annotations
@@ -144,7 +146,8 @@ def _split(row, n):
 
 
 def _echelon(nz, ncols):
-    """Hermite normal form of the stored rows nz; no transform.
+    """Hermite normal form of the stored rows nz (or of rows given as
+    dicts from column to value); no transform.
 
     Returns the nonzero rows of the form, stored, in pivot order: positive
     pivots with the entries above each in [0, pivot).  A caller appends
@@ -482,10 +485,22 @@ def _sparse_diagonal(mat):
     A unit pivot needs no Euclid step: every other row r in the pivot
     column becomes r - (r[pj] * pivot) * pivot row, which leaves nothing
     in the column, and column operations against the unit then clear the
-    rest of the pivot row, which leaves at once.  Only when no unit is
-    left does a Markowitz scan pick the entry with the least
-    (row length - 1) * (column length - 1), then the least absolute
-    value, and Euclid steps on its column and row find the torsion.
+    rest of the pivot row, which leaves at once.
+
+    Once no unit is left, the remaining rows go through `_echelon`, and
+    its Hermite form is transposed and sent through again, until every
+    row of the form holds one entry (Kannan & Bachem, SIAM J. Comput. 8,
+    1979).  Each round is unimodular row operations on the matrix or on
+    its transpose, and drops only zero rows, so the invariant factors
+    are unchanged.  The rounds end.  The first pivot p is alone in its
+    column, so the transpose has a row holding p alone, and its first
+    column is p's row.  The next first pivot is the gcd of that row: it
+    never grows, and it drops strictly until p divides its row.  Then
+    the next first row is p alone: its difference from the lone row p
+    lies in the span of the rows below and is reduced against their
+    pivots, and a zero above a pivot reduces to zero.  From then on p
+    stays isolated, and induction on the remaining block ends the
+    rounds.
     """
     rows = {}
     col_index = {}
@@ -506,105 +521,61 @@ def _sparse_diagonal(mat):
                 col_index.setdefault(j, set()).add(i)
             queue(i, r)
     diag = []
-    while rows:
-        units = None
-        while heap and not units:
-            pi = heapq.heappop(heap)[1]
-            queued.discard(pi)
-            prow = rows.get(pi)
-            units = prow and [j for j, v in prow.items() if v == 1 or v == -1]
-        if units:
-            pj = min(units, key=lambda j: (len(col_index[j]), j))
-            del rows[pi]
-            pv = prow.pop(pj)
-            others = col_index.pop(pj)
-            others.discard(pi)
-            # the rest of the pivot row times pv: r - r[pj] * rest clears
-            # column pj from row r
-            rest = []
-            for j, v in prow.items():
-                col = col_index[j]
-                col.discard(pi)
-                rest.append((j, v * pv, col))
-            for i in others:
-                r = rows[i]
-                q = r.pop(pj)
-                for j, v, col in rest:
-                    old = r.get(j)
-                    if old is None:
-                        r[j] = -q * v
-                        col.add(i)
-                    else:
-                        nv = old - q * v
-                        if nv:
-                            r[j] = nv
-                        else:
-                            del r[j]
-                            col.discard(i)
-                if not r:
-                    del rows[i]
-                elif i not in queued:
-                    queue(i, r)
-            diag.append(1)
+    while heap:
+        pi = heapq.heappop(heap)[1]
+        queued.discard(pi)
+        prow = rows.get(pi)
+        units = prow and [j for j, v in prow.items() if v == 1 or v == -1]
+        if not units:
             continue
-        best = None
-        best_key = None
-        for i, r in rows.items():
-            rl = len(r) - 1
-            for j, v in r.items():
-                key = (rl * (len(col_index[j]) - 1), abs(v), i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-        pi, pj = best
-        while True:
-            # clear the pivot column with row operations (Euclid in column)
-            while True:
-                others = [i for i in col_index[pj] if i != pi]
-                if not others:
-                    break
-                pv = rows[pi][pj]
-                smaller = next((i for i in others
-                                if abs(rows[i][pj]) < abs(pv)), None)
-                if smaller is not None:
-                    pi = smaller
-                    continue
-                for i in others:
-                    r = rows[i]
-                    q = r[pj] // pv
-                    if q:
-                        for j, v in rows[pi].items():
-                            nv = r.get(j, 0) - q * v
-                            if nv:
-                                if j not in r:
-                                    col_index.setdefault(j, set()).add(i)
-                                r[j] = nv
-                            elif j in r:
-                                del r[j]
-                                col_index[j].discard(i)
-                    if not r:
-                        del rows[i]
-                    elif i not in queued:
-                        queue(i, r)
-            # column pj now holds only the pivot row, so column operations
-            # against column pj touch no other row
-            pv = rows[pi][pj]
-            prow = rows[pi]
-            for j in [j for j in prow if j != pj]:
-                q = prow[j] // pv
-                if q:
-                    prow[j] -= q * pv
-                if not prow[j]:
-                    del prow[j]
-                    col_index[j].discard(pi)
-            rest = [j for j in prow if j != pj]
-            if not rest:
-                break
-            # a remainder beat the pivot; move the pivot and repeat
-            pj = min(rest, key=lambda j: (abs(prow[j]), j))
-        diag.append(abs(rows[pi][pj]))
+        pj = min(units, key=lambda j: (len(col_index[j]), j))
         del rows[pi]
-        col_index[pj].discard(pi)
+        pv = prow.pop(pj)
+        others = col_index.pop(pj)
+        others.discard(pi)
+        # the rest of the pivot row times pv: r - r[pj] * rest clears
+        # column pj from row r
+        rest = []
+        for j, v in prow.items():
+            col = col_index[j]
+            col.discard(pi)
+            rest.append((j, v * pv, col))
+        for i in others:
+            r = rows[i]
+            q = r.pop(pj)
+            for j, v, col in rest:
+                old = r.get(j)
+                if old is None:
+                    r[j] = -q * v
+                    col.add(i)
+                else:
+                    nv = old - q * v
+                    if nv:
+                        r[j] = nv
+                    else:
+                        del r[j]
+                        col.discard(i)
+            if not r:
+                del rows[i]
+            elif i not in queued:
+                queue(i, r)
+        diag.append(1)
+    # each remaining row is freed once `_echelon` has copied it
+    del col_index
+    nz = (rows.pop(i) for i in list(rows))
+    ncols = mat.cols
+    while True:
+        nz = _echelon(nz, ncols)
+        if all(len(row) == 1 for row in nz):
+            break
+        # the transpose of the Hermite form, as stored rows
+        ncols = len(nz)
+        cols = {}
+        for i, row in enumerate(nz):
+            for j, v in row:
+                cols.setdefault(j, []).append((i, v))
+        nz = [tuple(cols[j]) for j in sorted(cols)]
+    diag.extend(row[0][1] for row in nz)
     return diag
 
 

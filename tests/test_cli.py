@@ -378,6 +378,12 @@ MALFORMED = [
     pytest.param(["galois", "centralize", "--primes", "2"], "--hom",
                  _hom_text([0, 1, 0, 1], "Z4").encode(),
                  id="centralize-with-primes"),
+    pytest.param(["homology", "--method", "hopf",
+                  "--primes", "2305843009213693951"], "--named", "Z4",
+                 id="prime-above-the-trial-division-bound"),
+    pytest.param("homology", "--presentation",
+                 b"gens: x\nrels: x^2\nclass: 1000000000\n",
+                 id="class-above-the-hall-basis-bound"),
 ]
 
 

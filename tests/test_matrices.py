@@ -359,6 +359,23 @@ def test_snf_diagonal_matches_dense_and_sparse():
         nz = [tuple((j, v) for j, v in enumerate(row) if v)
               for row in entries]
         assert snf_diagonal(IntMatrix.from_sparse_rows(m, n, nz)) == expect
+    # no unit anywhere, so the alternating Hermite forms do all the work:
+    # the first Hermite form of [[2, 3], [0, 2]] is not diagonal; tall
+    # blocks in the shapes bar boundaries leave after their units, with
+    # every fourth column even; and one of them times 2^40
+    assert snf_diagonal(IntMatrix([[2, 3], [0, 2]])) == [1, 4]
+    blocks = [[[2, 3], [0, 2]]]
+    for m, n in ((300, 4), (800, 12)):
+        blocks.append([[rng.choice((2, -2, 4, -4, 6, 9) if j % 4
+                                   else (2, -2, 4, -4, 6))
+                        if rng.random() < 0.4 else 0 for j in range(n)]
+                       for _ in range(m)])
+    blocks.append([[v << 40 for v in row] for row in blocks[1]])
+    for entries in blocks:
+        M = IntMatrix(entries)
+        D, _, _ = snf(M)
+        expect = [D.entry(i, i) for i in range(M.cols) if D.entry(i, i)]
+        assert snf_diagonal(M) == expect
 
 
 def test_snf_diagonal_ignores_row_and_column_order():
