@@ -100,10 +100,8 @@ class FgAbelianGroup:
 
     >>> FgAbelianGroup.from_orders([6, 4])
     FgAbelianGroup(0, [2, 12])
-    >>> FgAbelianGroup.from_orders([6, 4]).order()
-    24
-    >>> FgAbelianGroup(1, [2]).order() is None
-    True
+    >>> FgAbelianGroup.from_orders([0, 2])
+    FgAbelianGroup(1, [2])
     """
 
     __slots__ = ("free_rank", "factors")
@@ -140,17 +138,6 @@ class FgAbelianGroup:
             return cls(n_gens, ())
         diag = snf_diagonal(rel)
         return cls(n_gens - len(diag), [d for d in diag if d > 1])
-
-    def order(self):
-        if self.free_rank:
-            return None
-        out = 1
-        for d in self.factors:
-            out *= d
-        return out
-
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.factors
 
     def torsion_part(self, primes=None):
         """The subgroup of elements with finite order in the given primes.

@@ -47,38 +47,16 @@ def max_order_for(n, max_order=None):
     return MAX_ORDER_BY_DEGREE.get(n, 6)
 
 
-class BarChainBasis:
-    """The n-tuples of non-identity elements, in lexicographic order.
-
-    >>> from hopfgal.corpus import cyclic
-    >>> BarChainBasis(cyclic(3), 2).size
-    4
-    >>> list(BarChainBasis(cyclic(3), 1))
-    [(1,), (2,)]
-    """
-
-    __slots__ = ("group", "degree", "size")
-
-    def __init__(self, group, degree):
-        if degree < 0:
-            raise ValidationError("degree must be >= 0")
-        self.group = group
-        self.degree = degree
-        self.size = (group.order - 1) ** degree
-
-    def __iter__(self):
-        return product(range(1, self.group.order), repeat=self.degree)
-
-
 _MAX_BASIS = 500_000
 
 
-def bar_boundary(G, n, first=None, max_basis=_MAX_BASIS):
+def bar_boundary(G, n, first=None):
     """Matrix of d_n: C_n -> C_{n-1}, one row per degree-n tuple.
 
     With `first` given, only the tuples whose first entry lies in
     `first` get a row, in the same lexicographic order; the columns are
-    always all of C_{n-1}.  `max_basis` bounds the rows built.
+    always all of C_{n-1}.  More rows than _MAX_BASIS raise
+    SizeLimitError before any is built.
 
     If `first` generates G, these rows span the same lattice as all of
     them.  For x in `first`, g != 1 and xg != 1, the boundary
@@ -113,24 +91,23 @@ def bar_boundary(G, n, first=None, max_basis=_MAX_BASIS):
         if firsts and not 0 < firsts[0] <= firsts[-1] < G.order:
             raise ValidationError("first entries must be non-identity "
                                   "elements of the group")
-    dst = BarChainBasis(G, n - 1)
-    rows = len(firsts) * dst.size
-    if rows > max_basis:
+    head = (G.order - 1) ** (n - 1)
+    rows = len(firsts) * head
+    if rows > _MAX_BASIS:
         raise SizeLimitError("bar basis of size %d exceeds bound %d"
-                             % (rows, max_basis))
+                             % (rows, _MAX_BASIS))
     # tuple i has the digits t_0 - 1, ..., t_{n-1} - 1 in base
     # b = |G| - 1, so a face's column is i % b^(n-1) without t_0, i // b
     # without t_{n-1}, and (i // b^(n-k+1) * b + m - 1) * b^(n-k-1)
     # + i % b^(n-k-1) with t_{k-1}, t_k merged into m
     table = G.table
     b = G.order - 1
-    head = dst.size
     last = (-1) ** n
     merges = [(k, b ** (n - k + 1), b ** (n - k - 1), (-1) ** k)
               for k in range(1, n)]
     nz = []
     for t0 in firsts:
-        for r, rest in enumerate(dst):
+        for r, rest in enumerate(product(range(1, G.order), repeat=n - 1)):
             i = (t0 - 1) * head + r
             tup = (t0,) + rest
             acc = {r: 1}
@@ -142,7 +119,7 @@ def bar_boundary(G, n, first=None, max_basis=_MAX_BASIS):
                     j = (i // high * b + m - 1) * low + i % low
                     acc[j] = acc.get(j, 0) + sign
             nz.append(tuple(sorted((j, v) for j, v in acc.items() if v)))
-    return IntMatrix.from_sparse_rows(rows, dst.size, nz)
+    return IntMatrix.from_sparse_rows(rows, head, nz)
 
 
 def homology(G, n, max_order=None):
@@ -171,7 +148,7 @@ def homology(G, n, max_order=None):
     if G.order > bound:
         raise SizeLimitError("order %d exceeds the degree-%d bound %d"
                              % (G.order, n, bound))
-    b_n = BarChainBasis(G, n).size
+    b_n = (G.order - 1) ** n
     if b_n == 0:
         return FgAbelianGroup.trivial()
     gens = minimal_generating_indices(G)

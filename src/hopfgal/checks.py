@@ -32,13 +32,12 @@ from .matrices import IntMatrix, bareiss_det, hnf, snf, snf_diagonal
 class CheckReport:
     """Tally of one suite run: how many cases, which ones failed."""
 
-    __slots__ = ("name", "cases", "failures", "seed")
+    __slots__ = ("name", "cases", "failures")
 
-    def __init__(self, name, seed=None):
+    def __init__(self, name):
         self.name = name
         self.cases = 0
         self.failures = []
-        self.seed = seed
 
     @property
     def ok(self):
@@ -52,10 +51,6 @@ class CheckReport:
     def summary(self):
         state = "pass" if self.ok else "FAIL (%d)" % len(self.failures)
         return "%-16s %5d cases  %s" % (self.name, self.cases, state)
-
-    def to_json(self):
-        return {"name": self.name, "cases": self.cases, "seed": self.seed,
-                "failures": list(self.failures)}
 
 
 # ---- presented corpus ------------------------------------------------------
@@ -112,7 +107,7 @@ def _closure_by_powers(A, K, primes):
 def check_closure_laws(count=500, seed=20260814):
     """Extensiveness, monotonicity, idempotence, openness, dual routes."""
     rng = random.Random(seed)
-    report = CheckReport("closure", seed)
+    report = CheckReport("closure")
     pool = [G for _, G in corpus_up_to(12)]
     while report.cases < count:
         A = rng.choice(pool)
@@ -241,7 +236,7 @@ def _normal_subgroups(G):
 def check_cube_laws(count=200, seed=20260814):
     """Face/arrow roundtrips, interchange, both square routes, kernels."""
     rng = random.Random(seed)
-    report = CheckReport("cubes", seed)
+    report = CheckReport("cubes")
     pool = [cyclic(4), cyclic(6), klein4(), dihedral(3), dihedral(4),
             quaternion8()]
     normals = {id(G): _normal_subgroups(G) for G in pool}
@@ -293,7 +288,7 @@ def check_collection(count=1000, seed=20260814):
     share one collected u*v.
     """
     rng = random.Random(seed)
-    report = CheckReport("collection", seed)
+    report = CheckReport("collection")
     ambients = [free_nil_group(d, c)
                 for d in range(1, 4) for c in range(1, 6)]
     for _ in range(-(-count // 3)):
@@ -315,7 +310,7 @@ def check_collection(count=1000, seed=20260814):
 def check_matrix_forms(count=120, seed=20260814):
     """The defining equations of both normal forms, on random input."""
     rng = random.Random(seed)
-    report = CheckReport("matrices", seed)
+    report = CheckReport("matrices")
     while report.cases < count:
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         A = IntMatrix([[rng.randint(-9, 9) for _ in range(n)]
@@ -403,21 +398,19 @@ def run_suite(names, seed=20260814, max_order=12):
         "bar": lambda: check_bar_differential(min(max_order, 8)),
         "localization": lambda: check_localization_identity(max_order),
     }
-    order = ["closure", "centrality", "characterisation", "baer", "cubes",
-             "collection", "matrices", "bar", "localization"]
     if isinstance(names, str):
         names = [names]
     wanted = []
     for name in names:
         if name == "all":
-            wanted.extend(order)
+            wanted.extend(registry)
         elif name == "none":
             continue
         elif name in registry:
             wanted.append(name)
         else:
-            raise ValidationError("unknown suite %r (have: %s)"
-                                  % (name, ", ".join(order + ["all", "none"])))
+            have = ", ".join([*registry, "all", "none"])
+            raise ValidationError("unknown suite %r (have: %s)" % (name, have))
     seen = set()
     reports = []
     for name in wanted:

@@ -103,13 +103,13 @@ class FreeNilGroup:
     5
     """
 
-    def __init__(self, rank, nclass, max_basis=MAX_BASIS):
+    def __init__(self, rank, nclass):
         if rank < 1 or nclass < 1:
             raise ValidationError("need rank >= 1 and class >= 1")
-        if nclass > max_basis:
+        if nclass > MAX_BASIS:
             # each weight adds a Hall letter at rank >= 2; bound rank 1 too
             raise SizeLimitError("class %d exceeds the Hall basis bound %d"
-                                 % (nclass, max_basis))
+                                 % (nclass, MAX_BASIS))
         self.rank = rank
         self.nclass = nclass
         letters = [HallLetter(i, 1) for i in range(rank)]
@@ -125,9 +125,9 @@ class FreeNilGroup:
                     pairs.append((u, v))
             pairs.sort()
             for u, v in pairs:
-                if len(letters) >= max_basis:
+                if len(letters) >= MAX_BASIS:
                     raise SizeLimitError("Hall basis exceeds bound %d"
-                                         % max_basis)
+                                         % MAX_BASIS)
                 letters.append(HallLetter(len(letters), w, u, v))
         self.letters = letters
         self.weights = tuple(l.weight for l in letters)

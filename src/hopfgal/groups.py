@@ -1,11 +1,11 @@
 """Finite groups as multiplication tables, with the constructions the
 Galois and Hopf layers need: subgroups, quotients, pullbacks, commutator
-subgroups, and the prime-set closure operator.
+subgroups, abelian invariants, and the prime-set closure operator.
 
-Elements are indices 0..order-1 and 0 is always the identity.  Everything
-is immutable and deterministic: subgroup members are sorted, quotient
-representatives are minimal, and breadth-first closures follow generator
-order as given.
+Elements are indices 0..order-1, 0 is always the identity, a product is
+table[a][b] and an inverse inv[g].  Everything is immutable and
+deterministic: subgroup members are sorted, quotient representatives
+are minimal, and breadth-first closures follow generator order as given.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from .errors import (
     NotAbelianError, NotNormalError, NotSubsetError, SizeLimitError,
     ValidationError,
 )
+from .matrices import IntMatrix
 
 MAX_ORDER = 5040
 _ASSOC_CHECK_BOUND = 64
@@ -24,7 +25,7 @@ class FiniteGroup:
     """A finite group given by its multiplication table.
 
     >>> Z3 = FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-    >>> Z3.mul(1, 2), Z3.inverse(1)
+    >>> Z3.table[1][2], Z3.inv[1]
     (0, 2)
     >>> Z3.element_order(1)
     3
@@ -83,12 +84,6 @@ class FiniteGroup:
                             raise ValidationError(
                                 "associativity fails at (%d,%d,%d)"
                                 % (a, b, c))
-
-    def mul(self, a, b):
-        return self.table[a][b]
-
-    def inverse(self, g):
-        return self.inv[g]
 
     def conjugate(self, g, by):
         """by^-1 * g * by."""
@@ -160,47 +155,44 @@ class FiniteGroup:
         return Subgroup(self, self._derived, _checked=True)
 
     def abelian_invariants(self):
-        """Invariant factors, for an abelian group, by order statistics.
+        """Invariant factors, for an abelian group: the cokernel of its
+        Cayley relations.
 
-        For each prime p, counting solutions of x^(p^i) = e recovers the
-        conjugate partition of the cyclic p-power exponents.
+        Take generators g_i greedily, each the least element not yet
+        generated, and let c(x) be the exponent vector of x's
+        breadth-first word in them, so c(0) = 0.  As G is abelian, the
+        rows c(x) + e_i - c(x g_i) lie in the kernel of e_i -> g_i.
+        Modulo them, adding or removing e_i turns c(x) into c(x g_i) or
+        c(x g_i^-1); so every vector is congruent to c of its image, and
+        a vector in the kernel to c(0) = 0: the rows span the kernel.
         """
         if not self.is_abelian():
             raise NotAbelianError("abelian_invariants needs an abelian group")
-        n = self.order
-        orders = []
-        m = n
-        p = 2
-        primes = []
-        while m > 1:
-            if m % p == 0:
-                primes.append(p)
-                while m % p == 0:
-                    m //= p
-            p += 1 if p == 2 else 2
-        for p in primes:
-            counts = [1]
-            q = p
-            while True:
-                c = sum(1 for g in range(n) if self.power(g, q) == 0)
-                counts.append(c)
-                if c == counts[-2]:
-                    counts.pop()
-                    break
-                q *= p
-            # k_i = number of cyclic factors with exponent >= i
-            ks = []
-            for i in range(1, len(counts)):
-                ratio = counts[i] // counts[i - 1]
-                k = 0
-                while ratio > 1:
-                    ratio //= p
-                    k += 1
-                ks.append(k)
-            for j in range(ks[0] if ks else 0):
-                lam = sum(1 for k in ks if k > j)
-                orders.append(p ** lam)
-        return FgAbelianGroup.from_orders(orders)
+        gens, seen = [], {0}
+        for g in range(1, self.order):
+            if g not in seen:
+                gens.append(g)
+                seen = set(self.generated_subgroup(gens).members)
+        t = self.table
+        words = [None] * self.order
+        words[0] = [0] * len(gens)
+        queue = [0]
+        for x in queue:
+            for i, g in enumerate(gens):
+                y = t[x][g]
+                if words[y] is None:
+                    words[y] = list(words[x])
+                    words[y][i] += 1
+                    queue.append(y)
+        rows = []
+        for x, c in enumerate(words):
+            for i, g in enumerate(gens):
+                row = [a - b for a, b in zip(c, words[t[x][g]])]
+                row[i] += 1
+                if any(row):
+                    rows.append(row)
+        return FgAbelianGroup.from_relation_matrix(
+            len(gens), IntMatrix(rows, cols=len(gens)))
 
     def quotient(self, N):
         """Quotient by a normal subgroup: (group, projection).
@@ -230,9 +222,6 @@ class FiniteGroup:
 
     def abelianization(self):
         return self.quotient(self.derived_subgroup())
-
-    def to_json(self):
-        return {"order": self.order, "table": [list(r) for r in self.table]}
 
     def __repr__(self):
         return "FiniteGroup(order=%d%s)" % (

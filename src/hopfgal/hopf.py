@@ -43,7 +43,8 @@ from .pcseq import (abelian_quotient, commutator_subgroup, intersect,
                     torsion_closure_in)
 
 DEFAULT_MAX_CLASS = 4
-DEFAULT_RANK_CAP = 8
+# the largest rank a pullback cover may have
+RANK_CAP = 8
 # brackets nested deeper than this in a word are rejected, well within
 # the interpreter's recursion limit for parsing and evaluating the word
 MAX_NESTING = 100
@@ -295,22 +296,23 @@ def _rejoin_relators(pieces):
 # ---- presentation cubes --------------------------------------------------
 
 class PresentationCube:
-    """A free nilpotent ambient with the kernels of its face maps."""
+    """A free nilpotent ambient with the kernels of its face maps; the
+    first `diagonal_rank` generators of a two-fold cube are diagonal."""
 
-    __slots__ = ("n", "ambient", "kernels", "provenance")
+    __slots__ = ("n", "ambient", "kernels", "diagonal_rank")
 
-    def __init__(self, n, ambient, kernels, provenance):
+    def __init__(self, n, ambient, kernels, diagonal_rank=None):
         self.n = n
         self.ambient = ambient
         self.kernels = kernels
-        self.provenance = provenance
+        self.diagonal_rank = diagonal_rank
 
     def __repr__(self):
         return "PresentationCube(n=%d, rank=%d, class=%d)" % (
             self.n, self.ambient.rank, self.ambient.nclass)
 
 
-def build_presentation_cube(pres, n, k=None, rank_cap=DEFAULT_RANK_CAP):
+def build_presentation_cube(pres, n, k=None):
     """Realize an n-fold presentation at working class k.
 
     For n=1 this is the presentation itself: the ambient group with the
@@ -340,16 +342,14 @@ def build_presentation_cube(pres, n, k=None, rank_cap=DEFAULT_RANK_CAP):
         raise ValidationError("working class must exceed the class bound")
     F, rels = pres.ambient(k)
     if n == 1:
-        return PresentationCube(1, F, [pres.kernel_at(k)], {
-            "construction": "presentation", "working_class": k,
-            "rank": F.rank, "input": pres.input_digest()})
+        return PresentationCube(1, F, [pres.kernel_at(k)])
 
     d = F.rank
     t = len(rels)
-    if d + t > rank_cap:
+    if d + t > RANK_CAP:
         raise SizeLimitError(
             "pullback cover needs rank %d, above the cap %d"
-            % (d + t, rank_cap))
+            % (d + t, RANK_CAP))
     Q = free_nil_group(d + t, k)
     # the cover sends the first d generators to diagonal pairs (x, x)
     # and the remaining t to pairs (1, r); its first projection kills
@@ -369,10 +369,7 @@ def build_presentation_cube(pres, n, k=None, rank_cap=DEFAULT_RANK_CAP):
     section = NilHom(F, Q, [Q.generator(i) for i in range(d)])
     K1 = split_kernel(NilHom(Q, F, gens + rels), section)
 
-    return PresentationCube(2, Q, [K0, K1], {
-        "construction": "pullback-cover", "working_class": k,
-        "rank": Q.rank, "diagonal_rank": d, "relators": t,
-        "input": pres.input_digest()})
+    return PresentationCube(2, Q, [K0, K1], d)
 
 
 # ---- evaluation ----------------------------------------------------------
@@ -427,8 +424,7 @@ def evaluate_cube(cube, primes=None, k=None):
     if cube.n == 2:
         K0, K1 = cube.kernels
         K = intersect(K0, K1) if low is Q else meet_image(K0, K1)
-        cross.append((gens[cube.provenance["diagonal_rank"]:],
-                      shadow(K1, low)))
+        cross.append((gens[cube.diagonal_rank:], shadow(K1, low)))
     K = shadow(K, low)
     N = intersect_with_kernel(K)
     D = commutator_subgroup(low, [(gens, K)] + cross)
@@ -482,8 +478,7 @@ def _normalize_primes(primes):
     return primes if primes.primes else None
 
 
-def hopf_pi_n(pres, n, primes=None, max_class=DEFAULT_MAX_CLASS,
-              rank_cap=DEFAULT_RANK_CAP):
+def hopf_pi_n(pres, n, primes=None, max_class=DEFAULT_MAX_CLASS):
     """Hopf value for an n-fold presentation: H_{n+1} of the presented
     group, for n = 0, 1, 2.
 
@@ -526,7 +521,7 @@ def hopf_pi_n(pres, n, primes=None, max_class=DEFAULT_MAX_CLASS,
     def run(k):
         if k not in runs:
             runs[k] = evaluate_cube(
-                build_presentation_cube(pres, n, k + 1, rank_cap), primes, k)
+                build_presentation_cube(pres, n, k + 1), primes, k)
         return runs[k]
 
     for k in range(k0, max_class - 1):

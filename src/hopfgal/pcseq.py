@@ -111,9 +111,6 @@ class PcSubgroup:
     def is_trivial(self):
         return not self.seq
 
-    def contains_subgroup(self, other):
-        return all(self.contains(m) for m in other.seq)
-
     def leading_weights(self):
         w = self.parent.weights
         return [w[m.leading()[0]] for m in self.seq]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hopfgal.abelian import FgAbelianGroup
 from hopfgal.checks import check_collection
 from hopfgal.corpus import PRESENTED
 from hopfgal.errors import (InternalCheckError, NotAbelianError,
@@ -230,9 +231,10 @@ class TestHallBasis:
         for a, b in zip(low.letters, F.letters):
             assert (a.weight, a.left, a.right) == (b.weight, b.left, b.right)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(freenil, "MAX_BASIS", 5)
         with pytest.raises(SizeLimitError):
-            FreeNilGroup(3, 3, max_basis=5)
+            FreeNilGroup(3, 3)
 
     def test_bad_parameters(self):
         with pytest.raises(ValidationError):
@@ -970,7 +972,7 @@ class TestMeetImage:
         assert image == pc.shadow(pc.intersect(K0, K1), low)
         # a proper subgroup of the meet formed one class down
         below = pc.intersect(pc.shadow(K0, low), pc.shadow(K1, low))
-        assert below.contains_subgroup(image) and image != below
+        assert all(below.contains(m) for m in image.seq) and image != below
 
     def test_trivial_input_gives_the_trivial_subgroup_below(self):
         F = FreeNilGroup(2, 3)
@@ -1003,7 +1005,7 @@ class TestAbelianQuotient:
     def test_self_quotient_trivial(self):
         F = FreeNilGroup(2, 2)
         c1 = pc.induced_sequence(F, [F.word((0, 0, 1))])
-        assert pc.abelian_quotient(c1, c1).is_trivial()
+        assert pc.abelian_quotient(c1, c1) == FgAbelianGroup.trivial()
 
     def test_not_subset_rejected(self):
         F = FreeNilGroup(2, 2)
@@ -1045,7 +1047,7 @@ class TestMaterialization:
         R = pc.normal_closure(F, [x.pow(2), y.pow(2), x.comm(y)])
         G, reps = pc.materialize_quotient(F, R)
         assert G.order == 4 and G.is_abelian()
-        assert all(G.mul(i, i) == 0 for i in range(4))
+        assert all(G.table[i][i] == 0 for i in range(4))
 
     def test_dihedral_and_quaternion(self):
         F = FreeNilGroup(2, 3)
@@ -1060,7 +1062,7 @@ class TestMaterialization:
                                      y.inverse().mul(x).mul(y).mul(x)]))
         assert H.order == 8 and nilpotency_class(H) == 2
         # all involutions central distinguishes the quaternion group
-        invol = [g for g in H.elements() if g and H.mul(g, g) == 0]
+        invol = [g for g in H.elements() if g and H.table[g][g] == 0]
         assert len(invol) == 1
 
     def test_cyclic(self):

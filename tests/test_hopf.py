@@ -30,6 +30,13 @@ def pres_v4():
     return NilPresentation(["x", "y"], ["x^2", "y^2", "[x,y]"], 1)
 
 
+def pres_z2_cubed():
+    """(Z2)^3, whose pullback cover has rank 3 + 6 = 9, above RANK_CAP."""
+    return NilPresentation(
+        ["x", "y", "z"],
+        ["x^2", "y^2", "z^2", "[x,y]", "[x,z]", "[y,z]"], 1)
+
+
 def pres_d4():
     return NilPresentation(["r", "s"], ["r^4", "s^2", "[r,s]r^2"], 2)
 
@@ -62,7 +69,7 @@ def reference_denominator(cube):
     gens = [Q.generator(i) for i in range(Q.rank)]
     D = reference_commutator_subgroup(Q, gens, pc.intersect(K0, K1))
     cross = reference_commutator_subgroup(
-        Q, gens[cube.provenance["diagonal_rank"]:], K1)
+        Q, gens[cube.diagonal_rank:], K1)
     return pc.normal_closure(Q, list(D.seq) + list(cross.seq))
 
 
@@ -74,7 +81,7 @@ def one_closure_denominator(cube):
     gens = [Q.generator(i) for i in range(Q.rank)]
     return pc.commutator_subgroup(Q, [
         (gens, pc.intersect(K0, K1)),
-        (gens[cube.provenance["diagonal_rank"]:], K1)])
+        (gens[cube.diagonal_rank:], K1)])
 
 
 def subgroup_info(S):
@@ -91,7 +98,7 @@ def reference_evaluate_cube(cube, primes=None, k=None):
     K = pc.intersect(K0, K1)
     gens = [Q.generator(i) for i in range(Q.rank)]
     D = pc.commutator_subgroup(Q, [
-        (gens, K), (gens[cube.provenance["diagonal_rank"]:], K1)])
+        (gens, K), (gens[cube.diagonal_rank:], K1)])
     low = free_nil_group(Q.rank, Q.nclass if k is None else k)
     N = pc.shadow(pc.intersect_with_kernel(K), low)
     D = pc.shadow(D, low)
@@ -294,11 +301,11 @@ class TestCubes:
     def test_cover_rank_is_diagonal_plus_relators(self):
         cube = build_presentation_cube(pres_v4(), 2, 3)
         assert cube.ambient.rank == 5
-        assert cube.provenance["relators"] == 3
+        assert cube.ambient.rank - cube.diagonal_rank == 3
 
     def test_rank_cap_is_enforced(self):
         with pytest.raises(SizeLimitError):
-            build_presentation_cube(pres_v4(), 2, 2, rank_cap=4)
+            build_presentation_cube(pres_z2_cubed(), 2, 2)
 
     def test_bad_dimension_and_class(self):
         with pytest.raises(ValidationError):
@@ -697,7 +704,7 @@ class TestHigherDegree:
 
     def test_rank_cap_propagates_when_nothing_ran(self):
         with pytest.raises(SizeLimitError):
-            hopf_pi_n(pres_v4(), n=2, rank_cap=4)
+            hopf_pi_n(pres_z2_cubed(), n=2)
 
     def test_unstable_results_carry_no_value(self):
         r = HopfResult(None, None, None, 4, "UNSTABLE", {})
