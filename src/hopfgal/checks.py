@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .abelian import PrimeSet
-from .bar import bar_boundary, homology
+from .bar import _reduced_boundary, bar_boundary, homology
 from .corpus import (PRESENTED, TRIVIAL_PRESENTED, canonical_name,
                      corpus_up_to, cyclic, dihedral, klein4, quaternion8)
 from .cubes import (cube_from_normal_subgroups, delta_i, delta_inverse,
@@ -334,10 +334,12 @@ def check_matrix_forms(count=120, seed=20260814):
 
 
 def check_bar_differential(max_order=8):
-    """d after d vanishes on the normalized bar complex, and the rows of
+    """d after d vanishes on the normalized bar complex, the rows of
     d_{n+1} that start with a generator have the invariant factors of
-    all its rows (the lemma `bar.homology` rests on).  Each (group,
-    degree) is one case that checks both."""
+    all its rows, and the Morse-reduced matrix of d_{n+1} has the same
+    non-unit invariant factors and a rank smaller by |B_n| (the lemmas
+    `bar.homology` rests on).  Each (group, degree) is one case that
+    checks all three."""
     report = CheckReport("bar")
     groups = [G for _, G in corpus_up_to(max_order)]
     for G in groups:
@@ -348,13 +350,19 @@ def check_bar_differential(max_order=8):
         for n in range(1, top + 1):
             d_up = bar_boundary(G, n + 1)
             dd = d_up.mul(bar_boundary(G, n))
+            diag = snf_diagonal(d_up)
+            R, matched = _reduced_boundary(G, n, gens)
+            reduced = snf_diagonal(R)
             detail = None
             if dd != IntMatrix.zero(dd.rows, dd.cols):
                 detail = "d.d != 0 on %r at degree %d" % (G, n + 1)
-            elif snf_diagonal(d_up) != snf_diagonal(
-                    bar_boundary(G, n + 1, gens)):
+            elif diag != snf_diagonal(bar_boundary(G, n + 1, gens)):
                 detail = ("generator-first rows of d_%d on %r have other "
                           "invariant factors" % (n + 1, G))
+            elif ([d for d in reduced if d > 1] != [d for d in diag if d > 1]
+                  or len(reduced) != len(diag) - matched):
+                detail = ("reduced d_%d on %r has other invariant factors "
+                          "or rank" % (n + 1, G))
             report.record(detail is None, detail)
     return report
 

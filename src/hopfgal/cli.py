@@ -10,6 +10,7 @@ the group-order ceilings used by the bar oracle and the verify corpus.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -264,7 +265,10 @@ def cmd_verify(args, argv):
 
 # ---- entry point -----------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    # built on the first call of main, not at import, and reused: each
+    # parse_args starts from a fresh namespace
     parser = argparse.ArgumentParser(
         prog="hopfgal",
         description="Exact Hopf-formula homology with a bar-resolution "

@@ -12,7 +12,7 @@ from hopfgal.corpus import (
     nilpotent_corpus, quaternion8, symmetric,
 )
 from hopfgal.errors import SizeLimitError, ValidationError
-from hopfgal.groups import FiniteGroup
+from hopfgal.groups import FiniteGroup, minimal_generating_indices
 from hopfgal.matrices import IntMatrix, snf_diagonal
 
 
@@ -135,8 +135,8 @@ def test_size_bounds(monkeypatch):
 
 
 def test_one_bound_table():
-    # degree 2 allows order 24, the bound the CLI and verify use
-    assert [max_order_for(n) for n in (1, 2, 3, 4, 5)] == [64, 24, 12, 6, 6]
+    # degree 2 allows order 32 and degree 3 order 16, the bounds the CLI uses
+    assert [max_order_for(n) for n in (1, 2, 3, 4, 5)] == [64, 32, 16, 6, 6]
     assert max_order_for(3, max_order=4) == 4
     for n in (1, 2, 3, 4):
         with pytest.raises(SizeLimitError):
@@ -218,7 +218,9 @@ def test_boundary_memory_follows_nonzeros():
 
 
 def _degrees_within_bounds(G):
-    return [n for n in (1, 2, 3) if G.order <= max_order_for(n)]
+    # the reference eliminates every row of d_{n+1}, (|G| - 1)^(n+1) of
+    # them, so it keeps the orders 64, 24 and 12 of degrees 1-3
+    return [n for n, top in ((1, 64), (2, 24), (3, 12)) if G.order <= top]
 
 
 _FULL_CORPUS = full_corpus()
@@ -282,3 +284,79 @@ def test_reach_beyond_the_degree_bounds():
     assert h3 == FgAbelianGroup(0, [4, 4, 4])
     assert h2 == FgAbelianGroup(0, [4])
     assert peak < 40 * 2 ** 20, peak
+
+
+def _depths(G, gens):
+    # the fewest left multiplications by generators that reach each
+    # element from a generator, by closure rather than by a queue
+    depth = {x: 0 for x in gens}
+    k = 0
+    while len(depth) < G.order - 1:
+        k += 1
+        reached = {G.table[x][h] for h, d in depth.items() if d == k - 1
+                   for x in gens} - set(depth) - {0}
+        assert reached, "generators leave elements unreached"
+        depth.update((g, k) for g in reached)
+    return depth
+
+
+@pytest.mark.parametrize("name", ["D6", "Q8", "S4", "Z12", "Z2xZ4"])
+def test_every_split_is_one_step_nearer_to_the_generators(name):
+    rng = random.Random(53)
+    for G in (named_group(name), _relabel(named_group(name), rng)):
+        gens = minimal_generating_indices(G)
+        depth = _depths(G, gens)
+        splits = bar._splits(G, gens)
+        assert sorted(g for g, _, _ in splits) == sorted(
+            g for g in depth if g not in gens)
+        for g, x, h in splits:
+            assert x in gens and h != 0 and G.table[x][h] == g
+            assert depth[h] == depth[g] - 1
+
+
+def test_reduced_boundary_sizes(monkeypatch):
+    # Z12 at degree 3: the 1331 generator-first rows of d_4 and 1331
+    # columns of d_4 become 121 x 121, and d_3's 121 x 121 becomes 11 x 11
+    shapes = []
+
+    def recording(mat):
+        shapes.append(mat.shape)
+        return snf_diagonal(mat)
+
+    monkeypatch.setattr(bar, "snf_diagonal", recording)
+    assert homology(cyclic(12), 3) == FgAbelianGroup(0, [12])
+    assert sorted(shapes) == [(11, 11), (121, 121)]
+    # |B_3| = (12 - 1 - 1) * 11^2 columns were matched away
+    assert bar._reduced_boundary(cyclic(12), 3, [1])[1] == 1210
+
+
+def _small_corpus_values():
+    values = {}
+    for name, G in full_corpus():
+        for n in (1, 2, 3):
+            if G.order <= 8:
+                try:
+                    values[name, n] = homology(G, n)
+                except ValidationError as exc:
+                    values[name, n] = str(exc)
+    return values
+
+
+def test_wrong_sign_in_the_projection_changes_a_value(monkeypatch):
+    right = _small_corpus_values()
+    projection = bar._projection
+
+    def turned(splits, offsets, faces, t):
+        return projection(splits, offsets,
+                          [{j: -v for j, v in f.items()} for f in faces], t)
+
+    monkeypatch.setattr(bar, "_projection", turned)
+    wrong = _small_corpus_values()
+    assert [key for key in right if wrong[key] != right[key]]
+
+
+def test_reach_of_the_degree_bounds():
+    # Kunneth at the largest orders the bounds allow without max_order:
+    # H3(Z2 x Z8) = Z/2 + Z/8 + Tor(Z/2, Z/8) and H2((Z2)^5) = (Z/2)^10
+    assert homology(abelian([2, 8]), 3) == FgAbelianGroup(0, [2, 2, 8])
+    assert homology(abelian([2] * 5), 2) == FgAbelianGroup(0, [2] * 10)

@@ -159,7 +159,7 @@ class TestHomologyCommand:
         code, out, err = run(capsys, ["homology", "--named", "Z2xZ2000",
                                       "--method", "bar"])
         assert code == 2 and out == ""
-        assert err == "error: order 4000 of 'Z2xZ2000' exceeds the bound 24\n"
+        assert err == "error: order 4000 of 'Z2xZ2000' exceeds the bound 32\n"
 
     def test_hopf_run_digests_the_group_file_without_building_it(
             self, capsys, tmp_path, monkeypatch):
@@ -343,6 +343,10 @@ MALFORMED = [
                  id="named-product-above-the-bar-bound"),
     pytest.param("homology", "--group", b'{"name": "Z2xZ2000"}',
                  id="group-name-above-the-bar-bound"),
+    pytest.param(["homology", "--method", "bar", "--degree", "3"], "--named",
+                 "Z1xZ17", id="order-17-above-the-degree-3-bound"),
+    pytest.param("homology", "--named", "Z3xZ11",
+                 id="order-33-above-the-degree-2-bound"),
     pytest.param(["homology", "--method", "hopf"], "--group",
                  b'{"name": "Z2xZ2521"}', id="group-file-under-hopf"),
     pytest.param("galois", "--hom", json.dumps({
@@ -453,6 +457,26 @@ class TestVerifyCommand:
         code, _, err = run(capsys, ["verify", "--suite", "astrology"])
         assert code == 2
         assert "astrology" in err
+
+
+def test_one_parser_serves_every_call_without_carrying_values(capsys,
+                                                             monkeypatch):
+    # main reuses one parser; no value of one call may reach the next
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "run_suite", lambda names, **kwargs: [])
+    suites = []
+    for argv in (["verify", "--suite", "matrices"], ["verify"]):
+        code, blob, _ = run_json(capsys, argv)
+        assert code == 0
+        suites.append(blob["inputs"]["suites"])
+    assert suites == [["matrices"], ["all"]]
+    primes = []
+    for extra in (["--primes", "2"], []):
+        code, blob, _ = run_json(capsys, ["homology", "--named", "Z4",
+                                          "--method", "bar"] + extra)
+        assert code == 0
+        primes.append(blob["inputs"]["primes"])
+    assert primes == [[2], []]
 
 
 class TestReportShape:
