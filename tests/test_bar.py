@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from itertools import product
 
@@ -11,20 +12,19 @@ from hopfgal.corpus import (
     abelian, cyclic, dihedral, full_corpus, klein4, named_group,
     nilpotent_corpus, quaternion8, symmetric,
 )
-from hopfgal.errors import SizeLimitError, ValidationError
+from hopfgal.errors import InternalCheckError, SizeLimitError, ValidationError
 from hopfgal.groups import FiniteGroup, minimal_generating_indices
 from hopfgal.matrices import IntMatrix, snf_diagonal
 
 
-def reference_full_homology(G, n, first=None):
-    """Homology from the rows of d_n and d_{n+1} whose first entry lies
-    in `first`; with None, from all their rows, the full-row route that
-    `homology` shortens to the rows that start with a generator."""
+def reference_full_homology(G, n):
+    """Homology from every row of d_n and d_{n+1}, the full bar complex
+    that `homology` cuts down to the Anick chains."""
     b_n = (G.order - 1) ** n
     if b_n == 0:
         return FgAbelianGroup.trivial()
-    rank_n = len(snf_diagonal(bar_boundary(G, n, first)))
-    diag_up = snf_diagonal(bar_boundary(G, n + 1, first))
+    rank_n = len(snf_diagonal(bar_boundary(G, n)))
+    diag_up = snf_diagonal(bar_boundary(G, n + 1))
     free = b_n - rank_n - len(diag_up)
     return FgAbelianGroup(free, [d for d in diag_up if d > 1])
 
@@ -135,8 +135,8 @@ def test_size_bounds(monkeypatch):
 
 
 def test_one_bound_table():
-    # degree 2 allows order 32 and degree 3 order 16, the bounds the CLI uses
-    assert [max_order_for(n) for n in (1, 2, 3, 4, 5)] == [64, 32, 16, 6, 6]
+    # degrees 2 and 3 allow order 32, the bounds the CLI uses
+    assert [max_order_for(n) for n in (1, 2, 3, 4, 5)] == [64, 32, 32, 6, 6]
     assert max_order_for(3, max_order=4) == 4
     for n in (1, 2, 3, 4):
         with pytest.raises(SizeLimitError):
@@ -243,33 +243,6 @@ def test_generator_rows_match_full_rows_on_relabelled_tables(name):
             assert homology(H, n) == reference_full_homology(H, n), (name, n)
 
 
-def test_rows_that_start_outside_a_generating_set_lose_the_lattice():
-    # the generating hypothesis is needed: one element of V4, or the
-    # rotations of D4, leave out part of im(d_{n+1})
-    V = klein4()
-    D = named_group("D4")
-    r = next(g for g in D.elements() if D.element_order(g) == 4)
-    rotations = [g for g in D.generated_subgroup([r]).members if g]
-    for G, first in ((V, [1]), (D, rotations)):
-        assert any(reference_full_homology(G, n, first) != homology(G, n)
-                   for n in (1, 2, 3))
-
-
-def test_first_rows_are_the_full_rows_that_start_there(monkeypatch):
-    G = dihedral(3)
-    for n, first in ((1, [2]), (2, [1, 4]), (3, [5, 3])):
-        full = bar_boundary(G, n).to_rows()
-        tuples = product(range(1, G.order), repeat=n)
-        want = [row for tup, row in zip(tuples, full) if tup[0] in first]
-        assert bar_boundary(G, n, first).to_rows() == want
-    # the bound counts the rows built
-    monkeypatch.setattr(bar, "_MAX_BASIS", 1000)
-    assert bar_boundary(cyclic(12), 3, [1]).shape == (121, 121)
-    for first in ([0], [12], [1, 12]):
-        with pytest.raises(ValidationError):
-            bar_boundary(cyclic(12), 2, first)
-
-
 def test_reach_beyond_the_degree_bounds():
     # Kunneth: H3(Z4 x Z4) = Z/4 + Z/4 + Tor(Z/4, Z/4), and
     # H2(Z4 x Z8) = Z/4 (x) Z/8; with every row of d_4, Z4 x Z4 at degree
@@ -302,21 +275,67 @@ def _depths(G, gens):
 
 @pytest.mark.parametrize("name", ["D6", "Q8", "S4", "Z12", "Z2xZ4"])
 def test_every_split_is_one_step_nearer_to_the_generators(name):
+    # a degree-1 cell (g) outside the generators is matched up with
+    # (x, h), x a generator and g = x·h with h one step nearer to them
     rng = random.Random(53)
     for G in (named_group(name), _relabel(named_group(name), rng)):
         gens = minimal_generating_indices(G)
         depth = _depths(G, gens)
-        splits = bar._splits(G, gens)
-        assert sorted(g for g, _, _ in splits) == sorted(
+        anick = bar._Anick(G)
+        splits = [((g,), anick.match((g,))) for g in range(1, G.order)]
+        assert sorted(g for (g,), (_, i) in splits if i) == sorted(
             g for g in depth if g not in gens)
-        for g, x, h in splits:
-            assert x in gens and h != 0 and G.table[x][h] == g
-            assert depth[h] == depth[g] - 1
+        for (g,), (partner, i) in splits:
+            if i:
+                x, h = partner
+                assert i == 1 and x in gens and G.table[x][h] == g
+                assert depth[h] == depth[g] - 1
+
+
+def _shortlex_words(G, gens):
+    """The shortlex-least word of every element, by listing all words
+    over `gens` in shortlex order until each element has one."""
+    first = {0: ()}
+    length = 0
+    while len(first) < G.order:
+        length += 1
+        for word in product(gens, repeat=length):
+            g = 0
+            for x in word:
+                g = G.table[g][x]
+            first.setdefault(g, word)
+    return first
+
+
+@pytest.mark.parametrize("name", ["D6", "Q8", "S4", "Z12", "Z2xZ4"])
+def test_the_matching_pairs_off_all_but_the_anick_chains(name):
+    rng = random.Random(53)
+    for G in (named_group(name), _relabel(named_group(name), rng)):
+        anick = bar._Anick(G)
+        words = _shortlex_words(G, minimal_generating_indices(G))
+        assert {g: anick.word[g] for g in range(G.order)} == words
+        for n in (1, 2, 3):
+            critical = []
+            for cell in product(range(1, G.order), repeat=n):
+                partner, i = anick.match(cell)
+                if partner is None:
+                    critical.append(cell)
+                    continue
+                # an involution, and the lower cell is face |i| of the
+                # upper one with coefficient (-1)^i
+                assert anick.match(partner) == (cell, -i)
+                upper, lower = (partner, cell) if i > 0 else (cell, partner)
+                assert bar._cell_faces(G.table, upper)[lower] == (-1) ** i
+            assert critical == anick.critical(n)
 
 
 def test_reduced_boundary_sizes(monkeypatch):
-    # Z12 at degree 3: the 1331 generator-first rows of d_4 and 1331
-    # columns of d_4 become 121 x 121, and d_3's 121 x 121 becomes 11 x 11
+    # Z12 keeps one Anick chain per degree, so degree 3 hands snf_diagonal
+    # two 1 x 1 matrices; the D6 table keeps 2, 6, 15 and 42 cells
+    assert [len(bar._Anick(cyclic(12)).critical(n))
+            for n in (1, 2, 3, 4)] == [1, 1, 1, 1]
+    assert [len(bar._Anick(named_group("D6")).critical(n))
+            for n in (1, 2, 3, 4)] == [2, 6, 15, 42]
     shapes = []
 
     def recording(mat):
@@ -325,9 +344,10 @@ def test_reduced_boundary_sizes(monkeypatch):
 
     monkeypatch.setattr(bar, "snf_diagonal", recording)
     assert homology(cyclic(12), 3) == FgAbelianGroup(0, [12])
-    assert sorted(shapes) == [(11, 11), (121, 121)]
-    # |B_3| = (12 - 1 - 1) * 11^2 columns were matched away
-    assert bar._reduced_boundary(cyclic(12), 3, [1])[1] == 1210
+    assert shapes == [(1, 1), (1, 1)]
+    del shapes[:]
+    assert homology(named_group("D6"), 3) == FgAbelianGroup(0, [2, 2, 6])
+    assert shapes == [(15, 6), (42, 15)]
 
 
 def _small_corpus_values():
@@ -337,22 +357,55 @@ def _small_corpus_values():
             if G.order <= 8:
                 try:
                     values[name, n] = homology(G, n)
-                except ValidationError as exc:
+                except InternalCheckError as exc:
                     values[name, n] = str(exc)
     return values
 
 
-def test_wrong_sign_in_the_projection_changes_a_value(monkeypatch):
+def test_wrong_sign_in_the_flow_changes_a_value(monkeypatch):
     right = _small_corpus_values()
-    projection = bar._projection
+    flow = bar._Anick.flow
 
-    def turned(splits, offsets, faces, t):
-        return projection(splits, offsets,
-                          [{j: -v for j, v in f.items()} for f in faces], t)
+    def turned(self, cell):
+        # Φ of a matched cell with its sign turned; critical cells keep
+        # theirs
+        out = flow(self, cell)
+        return out if cell in out else {c: -u for c, u in out.items()}
 
-    monkeypatch.setattr(bar, "_projection", turned)
+    monkeypatch.setattr(bar._Anick, "flow", turned)
     wrong = _small_corpus_values()
     assert [key for key in right if wrong[key] != right[key]]
+
+
+def test_a_matched_face_with_another_coefficient_is_an_internal_error(
+        monkeypatch):
+    faces = bar._cell_faces
+
+    def doubled(table, cell):
+        return {f: 2 * v for f, v in faces(table, cell).items()}
+
+    monkeypatch.setattr(bar, "_cell_faces", doubled)
+    with pytest.raises(InternalCheckError):
+        homology(cyclic(4), 2)
+
+
+def test_the_flow_is_iterative_and_bounded(monkeypatch):
+    # the flow of Z2 x Z64 at degree 3 follows chains of cells about as
+    # long as its normal forms, up to 64 letters, and runs within 40
+    # frames of its caller
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        h3 = homology(abelian([2, 64]), 3, max_order=128)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert h3 == FgAbelianGroup(0, [2, 2, 64])
+    monkeypatch.setattr(bar, "_MAX_BASIS", 50)
+    with pytest.raises(SizeLimitError):
+        homology(cyclic(16), 3)
 
 
 def test_reach_of_the_degree_bounds():
@@ -360,3 +413,21 @@ def test_reach_of_the_degree_bounds():
     # H3(Z2 x Z8) = Z/2 + Z/8 + Tor(Z/2, Z/8) and H2((Z2)^5) = (Z/2)^10
     assert homology(abelian([2, 8]), 3) == FgAbelianGroup(0, [2, 2, 8])
     assert homology(abelian([2] * 5), 2) == FgAbelianGroup(0, [2] * 10)
+
+
+def test_degree_three_at_order_32_and_24():
+    # H3(D16) = Z/2 + Z/2 + Z/16 and H3(Z4 x Z8) = Z/4 + Z/4 +
+    # Tor(Z/4, Z/8) by Kunneth, H3(S4) = Z/2 + Z/12; each in a few ms and
+    # well under 1 MB traced
+    tracemalloc.start()
+    try:
+        d16 = homology(dihedral(16), 3)
+        z4z8 = homology(abelian([4, 8]), 3)
+        s4 = homology(symmetric(4), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d16 == FgAbelianGroup(0, [2, 2, 16])
+    assert z4z8 == FgAbelianGroup(0, [4, 4, 8])
+    assert s4 == FgAbelianGroup(0, [2, 12])
+    assert peak < 4 * 2 ** 20, peak

@@ -344,7 +344,7 @@ MALFORMED = [
     pytest.param("homology", "--group", b'{"name": "Z2xZ2000"}',
                  id="group-name-above-the-bar-bound"),
     pytest.param(["homology", "--method", "bar", "--degree", "3"], "--named",
-                 "Z1xZ17", id="order-17-above-the-degree-3-bound"),
+                 "Z1xZ33", id="order-33-above-the-degree-3-bound"),
     pytest.param("homology", "--named", "Z3xZ11",
                  id="order-33-above-the-degree-2-bound"),
     pytest.param(["homology", "--method", "hopf"], "--group",
@@ -510,6 +510,21 @@ class TestEnvironmentOverride:
             capsys, ["homology", "--named", "Z4", "--method", "bar"])
         assert code == 0
         assert blob["results"]["bar"]["factors"] == []
+
+    def test_long_normal_forms_give_a_value_or_one_error_line(
+            self, capsys, monkeypatch):
+        # the normal forms of Z2 x Z512 run to 512 letters: the bar flow
+        # either ends or stops at its cell bound, and never in a traceback
+        monkeypatch.setenv("HOPFGAL_MAX_ORDER", "1024")
+        code, out, err = run(capsys, [
+            "--json", "homology", "--method", "bar", "--degree", "3",
+            "--named", "Z2xZ512"])
+        if code == 0:
+            assert json.loads(out)["results"]["bar"] == {
+                "free_rank": 0, "factors": [2, 2, 512]}
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_garbage_env_value_is_an_error(self, capsys, monkeypatch):
         monkeypatch.setenv("HOPFGAL_MAX_ORDER", "plenty")
