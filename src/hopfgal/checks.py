@@ -10,6 +10,7 @@ text to replay the offending instance by hand.
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import product
 
 from .abelian import PrimeSet
@@ -102,7 +103,7 @@ def _closure_by_powers(A, K, primes):
                    for m in range(1, A.order + 1))
         if hits:
             inside.append(a)
-    return Subgroup(A, inside, _checked=True)
+    return Subgroup(A, inside, _checked=True)  # ints
 
 
 def check_closure_laws(count=500, seed=20260814):
@@ -409,11 +410,13 @@ def run_suite(names, seed=20260814, max_order=12):
 
     `names` is an iterable of suite names, or the words 'all' / 'none'.
     """
+    extensions = cache(lambda: enumerate_extensions(max_order))
     registry = {
         "closure": lambda: check_closure_laws(seed=seed),
-        "centrality": lambda: check_centrality(max_order),
-        "characterisation": lambda: check_characterisation(max_order),
-        "baer": lambda: check_baer_invariance(max_order=max_order),
+        "centrality": lambda: check_centrality(extensions=extensions()),
+        "characterisation": lambda: check_characterisation(
+            extensions=extensions()),
+        "baer": lambda: check_baer_invariance(extensions=extensions()),
         "cubes": lambda: check_cube_laws(seed=seed),
         "collection": lambda: check_collection(seed=seed),
         "matrices": lambda: check_matrix_forms(seed=seed),

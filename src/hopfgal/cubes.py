@@ -236,7 +236,7 @@ def cube_from_normal_subgroups(G, normals, check_extension=True):
                 for g in G.elements():
                     mapping[projections[t](g)] = projections[s](g)
                 faces[(t, s)] = GroupHom(objects[t], objects[s], mapping,
-                                         validate=False)
+                                         validate=False)  # ints
     return CubeExtension(n, objects, faces, check_extension=check_extension)
 
 
@@ -398,6 +398,6 @@ def kernel_of_morphism(morphism):
                 mapping = [member_index[s][f(inclusions[t](k))]
                            for k in range(objects[t].order)]
                 faces[(t, s)] = GroupHom(objects[t], objects[s], mapping,
-                                         validate=False)
+                                         validate=False)  # ints
     return CubeExtension(n, objects, faces, check_extension=False), \
         inclusions

@@ -5,12 +5,18 @@ reflects onto abelian groups (radical = commutator subgroup), and the
 prime-local one further kills torsion at a set of primes (radical = the
 closure of the commutator subgroup under those prime powers).
 
+A `GaloisContext` builds each Galois object once: it keeps a record of
+each group's radical, I(G) and unit, and of each extension's Galois part
+radical(dom p) ∩ ker p.  The records live and die with the context.
+
 Every predicate with two known computations runs both and raises
 InternalCheckError on disagreement; that error always means an engine
 bug, never bad user input.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 from .abelian import PrimeSet
 from .errors import InternalCheckError, ValidationError
@@ -24,6 +30,11 @@ class GaloisContext:
     With no primes the reflection is plain abelianization; with a prime
     set it is the largest abelian quotient without torsion at those
     primes.
+
+    It keeps one record per group G (G, its radical, I(G), the unit)
+    and one per extension p (p, its Galois part as a group, the part's
+    inclusion, an index of its elements).  Each is keyed by id and holds
+    its key, checked by identity; all live and die with the context.
     """
 
     def __init__(self, primes=None):
@@ -32,23 +43,36 @@ class GaloisContext:
         if primes is not None and not primes.primes:
             primes = None
         self.primes = primes
-        self._reflections = {}
+        self._groups = {}
+        self._parts = {}
+
+    def _group(self, G):
+        """(G, radical, I(G), unit G -> I(G)), built on the first call."""
+        entry = self._groups.get(id(G))
+        if entry is None or entry[0] is not G:
+            R = G.derived_subgroup()
+            if self.primes is not None:
+                R = closure_P(G, R, self.primes)
+            entry = self._groups[id(G)] = (G, R) + G.quotient(R)
+        return entry
+
+    def _part(self, p):
+        """(p, S, inclusion S -> dom p, {image: element of S}) for the
+        Galois part S = radical(dom p) ∩ ker p, built on the first call."""
+        entry = self._parts.get(id(p))
+        if entry is None or entry[0] is not p:
+            S = self.radical(p.domain).intersection(p.kernel())
+            index = {m: k for k, m in enumerate(S.members)}
+            entry = self._parts[id(p)] = (p,) + S.as_group() + (index,)
+        return entry
 
     def radical(self, G):
         """The normal subgroup killed by the reflection unit."""
-        derived = G.derived_subgroup()
-        if self.primes is None:
-            return derived
-        return closure_P(G, derived, self.primes)
+        return self._group(G)[1]
 
     def reflect(self, G):
         """(I(G), unit G -> I(G)) for the context's reflection I."""
-        entry = self._reflections.get(id(G))
-        if entry is None or entry[0] is not G:
-            IG, eta = G.quotient(self.radical(G))
-            entry = (G, IG, eta)
-            self._reflections[id(G)] = entry
-        return entry[1], entry[2]
+        return self._group(G)[2:]
 
     def induced(self, f):
         """I(f): the reflection of a homomorphism."""
@@ -57,7 +81,7 @@ class GaloisContext:
         mapping = [0] * IA.order
         for g in f.domain.elements():
             mapping[eta_a(g)] = eta_b(f(g))
-        return GroupHom(IA, IB, mapping, validate=False)
+        return GroupHom(IA, IB, mapping, validate=False)  # ints
 
     def __repr__(self):
         if self.primes is None:
@@ -104,20 +128,30 @@ def characterisation_normal(ctx, f):
     return local_torsion_is_trivial(Kg, ctx.primes)
 
 
+@contextmanager
+def _kernel_pair(ctx, f):
+    """(whether f is normal, its kernel pair's projections); the pair's
+    record goes when the block ends, so no kernel pair outlives it."""
+    _require_extension(f)
+    P, pi1, pi2 = pullback(f, f)
+    try:
+        by_definition = is_trivial_ext(ctx, pi1)
+        if by_definition != characterisation_normal(ctx, f):
+            raise InternalCheckError(
+                "normality routes disagree on %r" % (f,))
+        yield by_definition, pi1, pi2
+    finally:
+        ctx._groups.pop(id(P), None)
+
+
 def is_normal_ext(ctx, f):
     """Whether pulling f back along itself yields a trivial extension.
 
     Computed from the definition and from the closed-form
     characterisation; the two must agree.
     """
-    _require_extension(f)
-    _, pi1, _ = pullback(f, f)
-    by_definition = is_trivial_ext(ctx, pi1)
-    by_characterisation = characterisation_normal(ctx, f)
-    if by_definition != by_characterisation:
-        raise InternalCheckError(
-            "normality routes disagree on %r" % (f,))
-    return by_definition
+    with _kernel_pair(ctx, f) as (normal, _, _):
+        return normal
 
 
 def centralize(ctx, f):
@@ -136,7 +170,7 @@ def centralize(ctx, f):
     mapping = [0] * A1.order
     for a in A.elements():
         mapping[unit(a)] = f(a)
-    return GroupHom(A1, f.codomain, mapping, validate=False), unit
+    return GroupHom(A1, f.codomain, mapping, validate=False), unit  # ints
 
 
 def galois_group(ctx, p):
@@ -145,18 +179,16 @@ def galois_group(ctx, p):
     Route one intersects the radical with the kernel; route two takes
     ker I(pi1) ∩ ker I(pi2) on the kernel pair, the kernel of the
     pairing <I(pi1), I(pi2)>.  Both are computed and must agree; they
-    only do for normal extensions, so normality is a precondition.
+    only do for normal extensions, so normality is a precondition.  The
+    normality test and route two share one kernel pair.
     """
-    if not is_normal_ext(ctx, p):
-        raise ValidationError("galois groups are defined for normal "
-                              "extensions")
-    E = p.domain
-    S = ctx.radical(E).intersection(p.kernel())
-    Sg, _ = S.as_group()
-    route1 = Sg.abelian_invariants()
-
-    P, pi1, pi2 = pullback(p, p)
-    K = ctx.induced(pi1).kernel().intersection(ctx.induced(pi2).kernel())
+    with _kernel_pair(ctx, p) as (normal, pi1, pi2):
+        if not normal:
+            raise ValidationError("galois groups are defined for normal "
+                                  "extensions")
+        route1 = ctx._part(p)[1].abelian_invariants()
+        K = ctx.induced(pi1).kernel().intersection(
+            ctx.induced(pi2).kernel())
     Kg, _ = K.as_group()
     route2 = Kg.abelian_invariants()
     if route1 != route2:
@@ -175,15 +207,12 @@ def induced_gal_map(ctx, p, q, top, bottom):
     _require_extension(q)
     if top.then(q).mapping != p.then(bottom).mapping:
         raise ValidationError("the square of homomorphisms does not commute")
-    S = ctx.radical(p.domain).intersection(p.kernel())
-    T = ctx.radical(q.domain).intersection(q.kernel())
-    Sg, incl_s = S.as_group()
-    Tg, incl_t = T.as_group()
-    t_index = {incl_t(k): k for k in range(Tg.order)}
+    _, Sg, incl_s, _ = ctx._part(p)
+    _, Tg, _, t_index = ctx._part(q)
     mapping = []
     for k in range(Sg.order):
         img = top(incl_s(k))
         if img not in t_index:
             raise InternalCheckError("radical part not preserved")
         mapping.append(t_index[img])
-    return GroupHom(Sg, Tg, mapping, validate=False)
+    return GroupHom(Sg, Tg, mapping, validate=False)  # ints

@@ -119,10 +119,10 @@ class FiniteGroup:
                    for a in range(self.order) for b in range(a))
 
     def trivial_subgroup(self):
-        return Subgroup(self, (0,))
+        return Subgroup(self, (0,), _checked=True)  # ints
 
     def full_subgroup(self):
-        return Subgroup(self, range(self.order))
+        return Subgroup(self, range(self.order), _checked=True)  # ints
 
     def generated_subgroup(self, gens):
         """Closure of the generators, breadth-first from the identity."""
@@ -135,13 +135,13 @@ class FiniteGroup:
                 if y not in seen:
                     seen.add(y)
                     queue.append(y)
-        return Subgroup(self, seen, _checked=True)
+        return Subgroup(self, seen, _checked=True)  # ints
 
     def center(self):
         t = self.table
         members = [z for z in range(self.order)
                    if all(t[z][g] == t[g][z] for g in range(self.order))]
-        return Subgroup(self, members, _checked=True)
+        return Subgroup(self, members, _checked=True)  # ints
 
     def derived_subgroup(self):
         """[G, G], kept after the first call: groups are immutable.
@@ -152,7 +152,7 @@ class FiniteGroup:
         if self._derived is None:
             G = self.full_subgroup()
             self._derived = commutator_subgroup(G, G).members
-        return Subgroup(self, self._derived, _checked=True)
+        return Subgroup(self, self._derived, _checked=True)  # ints
 
     def abelian_invariants(self):
         """Invariant factors, for an abelian group: the cokernel of its
@@ -168,11 +168,7 @@ class FiniteGroup:
         """
         if not self.is_abelian():
             raise NotAbelianError("abelian_invariants needs an abelian group")
-        gens, seen = [], {0}
-        for g in range(1, self.order):
-            if g not in seen:
-                gens.append(g)
-                seen = set(self.generated_subgroup(gens).members)
+        gens = _greedy_generators(self, range(self.order))
         t = self.table
         words = [None] * self.order
         words[0] = [0] * len(gens)
@@ -218,7 +214,7 @@ class FiniteGroup:
                 reps.append(g)
         table = [[cls[row[b]] for b in reps] for row in (t[a] for a in reps)]
         Q = FiniteGroup(table, validate=False)
-        return Q, GroupHom(self, Q, cls, validate=False)
+        return Q, GroupHom(self, Q, cls, validate=False)  # ints
 
     def abelianization(self):
         return self.quotient(self.derived_subgroup())
@@ -229,13 +225,15 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """A subgroup as a sorted member tuple inside an ambient group."""
+    """A subgroup as a sorted member tuple inside an ambient group.
+    _checked=True takes ints known to form a subgroup and only sorts."""
 
     __slots__ = ("ambient", "members")
 
     def __init__(self, ambient, members, _checked=False):
         self.ambient = ambient
-        self.members = tuple(sorted(set(int(m) for m in members)))
+        self.members = tuple(sorted(set(
+            members if _checked else (int(m) for m in members))))
         if not _checked:
             ms = set(self.members)
             if 0 not in ms:
@@ -283,7 +281,7 @@ class Subgroup:
             raise ValidationError("subgroups of different groups")
         return Subgroup(self.ambient,
                         set(self.members) & set(other.members),
-                        _checked=True)
+                        _checked=True)  # ints
 
     def product_with(self, other):
         """<H, K>, which is HK when one factor is normal, as HK = KH."""
@@ -297,7 +295,7 @@ class Subgroup:
         t = self.ambient.table
         table = [[index[t[a][b]] for b in self.members] for a in self.members]
         H = FiniteGroup(table, validate=False)
-        incl = GroupHom(H, self.ambient, self.members, validate=False)
+        incl = GroupHom(H, self.ambient, self.members, validate=False)  # ints
         return H, incl
 
 
@@ -316,10 +314,13 @@ class GroupHom:
     __slots__ = ("domain", "codomain", "mapping")
 
     def __init__(self, domain, codomain, mapping, validate=True):
+        """validate=False is for mappings of ints that the package knows
+        to be homomorphisms; only their length is checked."""
         self.domain = domain
         self.codomain = codomain
         try:
-            self.mapping = tuple(int(x) for x in mapping)
+            self.mapping = tuple(
+                (int(x) for x in mapping) if validate else mapping)
         except (TypeError, ValueError):
             raise ValidationError("mapping entries must be integers")
         if len(self.mapping) != domain.order:
@@ -355,14 +356,14 @@ class GroupHom:
         return Subgroup(self.domain,
                         [g for g in self.domain.elements()
                          if self.mapping[g] == 0],
-                        _checked=True)
+                        _checked=True)  # ints
 
     def preimage_of(self, sub):
         ms = set(sub.members)
         return Subgroup(self.domain,
                         [g for g in self.domain.elements()
                          if self.mapping[g] in ms],
-                        _checked=True)
+                        _checked=True)  # ints
 
     def is_surjective(self):
         return len(set(self.mapping)) == self.codomain.order
@@ -373,16 +374,16 @@ class GroupHom:
             raise ValidationError("composition mismatch")
         return GroupHom(self.domain, other.codomain,
                         [other.mapping[x] for x in self.mapping],
-                        validate=False)
+                        validate=False)  # ints
 
 
 def identity_hom(G):
-    return GroupHom(G, G, range(G.order), validate=False)
+    return GroupHom(G, G, range(G.order), validate=False)  # ints
 
 
 def inner_automorphism(G, g):
     return GroupHom(G, G, [G.conjugate(x, g) for x in G.elements()],
-                    validate=False)
+                    validate=False)  # ints
 
 
 class DirectProduct:
@@ -406,9 +407,9 @@ class DirectProduct:
                         r[a2 * bo + b2] = base + rb[b2]
         self.group = FiniteGroup(table, validate=False)
         self.proj0 = GroupHom(self.group, A, [i // bo for i in range(n)],
-                              validate=False)
+                              validate=False)  # ints
         self.proj1 = GroupHom(self.group, B, [i % bo for i in range(n)],
-                              validate=False)
+                              validate=False)  # ints
 
 
 def _product_order(A, B, max_order):
@@ -445,19 +446,44 @@ def pullback(f, g, max_order=MAX_ORDER):
         ra, rb = at[a1], bt[b1]
         table.append([pos[ra[a2] + rb[b2]] for a2, b2 in pairs])
     P = FiniteGroup(table, validate=False)
-    return (P, GroupHom(P, A, [a for a, _ in pairs], validate=False),
-            GroupHom(P, B, [b for _, b in pairs], validate=False))
+    return (P, GroupHom(P, A, [a for a, _ in pairs], validate=False),  # ints
+            GroupHom(P, B, [b for _, b in pairs], validate=False))  # ints
+
+
+def _greedy_generators(G, members):
+    """Each member, in the order given, that the earlier picks do not
+    generate: a generating set of the subgroup the members form."""
+    gens, seen = [], {0}
+    for g in members:
+        if g not in seen:
+            gens.append(g)
+            seen = set(G.generated_subgroup(gens).members)
+    return gens
 
 
 def commutator_subgroup(H, K):
-    """[H, K], generated by the [h, k] alone: H and K normalise that, as
-    [x,y]^z = [xz,y][z,y]^-1 (z in H) and [x,z]^-1[x,yz] (z in K)."""
+    """[H, K], as the closure N of the [x, y] under products and under
+    conjugation by X and Y, for greedy generating sets X of H and Y of K.
+
+    N lies in [H, K], as [H, K] is normal in <H, K>.  Each generator of
+    N has its conjugates tested once N holds it, and N only grows, so
+    X and Y normalise N.  N is then normal in <H, K>, X and Y commute
+    modulo N, so H and K do, and every [h, k] lies in N (Robinson, A
+    Course in the Theory of Groups, GTM 80, 5.1).
+    """
     if H.ambient is not K.ambient:
         raise ValidationError("subgroups of different groups")
     G = H.ambient
-    gens = {G.commutator(h, k) for h in H.members for k in K.members}
-    gens.discard(0)
-    return G.generated_subgroup(sorted(gens))
+    X = _greedy_generators(G, H.members)
+    Y = X if K == H else _greedy_generators(G, K.members)
+    gens, members = [], {0}
+    todo = [G.commutator(x, y) for x in X for y in Y]
+    for c in todo:
+        if c not in members:
+            gens.append(c)
+            members = set(G.generated_subgroup(gens).members)
+            todo.extend(G.conjugate(c, z) for z in X + Y)
+    return Subgroup(G, members, _checked=True)  # ints
 
 
 def closure_P(A, K, primes):
@@ -480,7 +506,7 @@ def closure_P(A, K, primes):
     Q, proj = A.quotient(K)
     return Subgroup(A, [a for a in A.elements()
                         if primes.is_number(Q.element_order(proj(a)))],
-                    _checked=True)
+                    _checked=True)  # ints
 
 
 def local_torsion_is_trivial(G, primes):
@@ -550,7 +576,7 @@ def all_homs(A, B):
     that respects every Cayley edge x -> xg is a hom, by induction on |y|."""
     gens = minimal_generating_indices(A)
     if not gens:
-        return [GroupHom(A, B, [0] * A.order, validate=False)]
+        return [GroupHom(A, B, [0] * A.order, validate=False)]  # ints
     pools = []
     for g in gens:
         d = A.element_order(g)
@@ -577,7 +603,7 @@ def all_homs(A, B):
         if i == len(gens):
             mapping = extend(assignment)
             if mapping is not None:
-                out.append(GroupHom(A, B, mapping, validate=False))
+                out.append(GroupHom(A, B, mapping, validate=False))  # ints
             return
         for h in pools[i]:
             assignment[i] = h
@@ -601,5 +627,5 @@ def surjections_up_to_precomposition(A, B):
                   for g in A.elements())
         if key not in seen:
             seen.add(key)
-            out.append(GroupHom(A, B, key, validate=False))
+            out.append(GroupHom(A, B, key, validate=False))  # ints
     return out

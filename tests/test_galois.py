@@ -3,13 +3,13 @@ import tracemalloc
 import pytest
 
 from hopfgal.abelian import FgAbelianGroup
-from hopfgal.checks import check_centrality
+from hopfgal.checks import check_centrality, enumerate_extensions
 from hopfgal.corpus import cyclic, dihedral, klein4, quaternion8, symmetric
 from hopfgal.errors import ValidationError
 from hopfgal.galois import (GaloisContext, centralize, characterisation_normal,
                             galois_group, induced_gal_map, is_normal_ext,
                             is_trivial_ext)
-from hopfgal.groups import (GroupHom, all_homs, identity_hom,
+from hopfgal.groups import (FiniteGroup, GroupHom, all_homs, identity_hom,
                             inner_automorphism, pullback, surjections)
 
 BASE = GaloisContext()
@@ -55,6 +55,54 @@ class TestContext:
 
     def test_empty_prime_set_is_the_plain_context(self):
         assert GaloisContext([]).primes is None
+
+
+def galois_values(ctx, f):
+    """radical, reflect, induced_gal_map and galois_group on f, as data."""
+    A, B = f.domain, f.codomain
+    IA, eta = ctx.reflect(A)
+    gal = induced_gal_map(ctx, f, f, identity_hom(A), identity_hom(B))
+    try:
+        group = galois_group(ctx, f)
+    except ValidationError:
+        group = None
+    return (ctx.radical(A).members, ctx.radical(B).members, IA.table,
+            eta.mapping, gal.domain.table, gal.mapping, group)
+
+
+class TestRecords:
+    def test_a_long_lived_context_answers_as_fresh_ones(self):
+        extensions = enumerate_extensions(12)
+        seen = {id(G) for _, _, f in extensions
+                for G in (f.domain, f.codomain)}
+        for primes in (None, (2,), (3,)):
+            ctx = GaloisContext(primes)
+            for _ in range(2):
+                for _, _, f in extensions:
+                    assert galois_values(ctx, f) == \
+                        galois_values(GaloisContext(primes), f), f.mapping
+            # one record per group handed in, and no kernel pair kept
+            assert {id(entry[0]) for entry in ctx._groups.values()} == seen
+            assert len(ctx._parts) == len(extensions)
+
+    def test_a_rebuilt_table_gets_its_own_record(self):
+        ctx = GaloisContext()
+        D4 = dihedral(4)
+        again = FiniteGroup(D4.table)
+        IG, eta = ctx.reflect(D4)
+        IG_again, eta_again = ctx.reflect(again)
+        assert eta.domain is D4 and eta_again.domain is again
+        assert IG_again is not IG and IG_again.table == IG.table
+        assert ctx.radical(again).ambient is again
+        assert ctx.reflect(D4) == (IG, eta)
+        V4, proj = D4.quotient(D4.derived_subgroup())
+        proj_again = GroupHom(D4, V4, proj.mapping)
+        ident = identity_hom(D4), identity_hom(V4)
+        m = induced_gal_map(ctx, proj, proj, *ident)
+        m_again = induced_gal_map(ctx, proj_again, proj_again, *ident)
+        assert m_again.domain is not m.domain
+        assert m_again.mapping == m.mapping
+        assert induced_gal_map(ctx, proj, proj, *ident).domain is m.domain
 
 
 class TestTrivialAndNormal:

@@ -115,6 +115,36 @@ def test_commutator_subgroup_is_normalised_by_its_factors():
     assert pairs == 9 + 16 + 676
 
 
+def all_pairs_commutator_subgroup(H, K):
+    """Reference: [H, K] generated by every commutator [h, k]."""
+    G = H.ambient
+    return G.generated_subgroup(sorted({G.commutator(h, k)
+                                        for h in H.members
+                                        for k in K.members}))
+
+
+def test_commutator_subgroup_matches_the_all_pairs_route():
+    def whole(G):
+        return G.full_subgroup(), G.full_subgroup()
+
+    cases = [whole(G) for _, G in full_corpus()]
+    for _, _, f in enumerate_extensions(12):
+        cases.append((f.kernel(), f.domain.full_subgroup()))
+        cases.append(whole(pullback(f, f)[0]))
+    for n in (5, 6):
+        transposition = [1, 0] + list(range(2, n))
+        cycle = list(range(1, n)) + [0]
+        cases.append(whole(from_permutations(n, [transposition, cycle])))
+    # A6 is perfect, and a proper subgroup with scattered members
+    A6 = cases[-1][0].ambient.derived_subgroup()
+    cases.append((A6, A6))
+    assert len(cases) == 22 + 2 * 180 + 3
+    for H, K in cases:
+        assert commutator_subgroup(H, K) == \
+            all_pairs_commutator_subgroup(H, K), (H, K)
+    assert len(A6) == 360 and commutator_subgroup(A6, A6) == A6
+
+
 def test_derived_equals_abelianization_kernel():
     for _, G in nilpotent_corpus() + [("S3", symmetric(3)),
                                       ("S4", symmetric(4))]:
