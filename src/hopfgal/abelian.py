@@ -95,6 +95,16 @@ class PrimeSet:
         return out
 
 
+def _prime_set_or_none(primes):
+    """`primes` as a PrimeSet, or None when it is None or empty: an
+    empty set localizes at nothing, so it means no localization."""
+    if primes is None:
+        return None
+    if not isinstance(primes, PrimeSet):
+        primes = PrimeSet(primes)
+    return primes if primes.primes else None
+
+
 class FgAbelianGroup:
     """Invariant-factor normal form of a finitely generated abelian group.
 

@@ -15,7 +15,7 @@ from functools import partial
 from math import prod
 
 from .errors import SizeLimitError, ValidationError
-from .groups import DirectProduct, FiniteGroup, from_permutations
+from .groups import FiniteGroup, GroupHom, from_permutations, pullback
 
 
 def cyclic(n):
@@ -112,9 +112,12 @@ def abelian(orders):
     orders = list(orders)
     if not orders:
         return cyclic(1)
+    # A x B is the fibre product over one trivial group
+    one = cyclic(1)
     G = cyclic(orders[0])
     for m in orders[1:]:
-        G = DirectProduct(G, cyclic(m)).group
+        G = pullback(GroupHom(G, one, [0] * G.order, validate=False),
+                     GroupHom(cyclic(m), one, [0] * m, validate=False))[0]
     name = "x".join("Z%d" % m for m in orders)
     return FiniteGroup(G.table, name=name, validate=False)
 

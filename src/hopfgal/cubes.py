@@ -1,10 +1,15 @@
 """Cubes of finite groups: n-fold extensions and their face calculus.
 
 An n-cube assigns a finite group to every subset of {0..n-1} (subsets are
-bitmasks) and a surjection-candidate homomorphism to every covering pair,
-with all squares commuting.  It is an n-fold extension when, for every
-nonempty subset I, the comparison map into the limit of the punctured
-cube below I is surjective.
+bitmasks) and a homomorphism to every covering pair, with all squares
+commuting.  It is an n-fold extension when, for every nonempty subset I,
+the comparison map into the limit of the punctured cube below I is
+surjective; `is_n_extension` asks that, and no constructor does.
+
+A morphism of cubes is plain data, the triple (domain cube, codomain
+cube, {subset: component}).  `delta_i` returns the arrow view of an
+n-cube along direction i as such a triple, and `delta_inverse` turns one
+back into a cube through the checking constructor.
 
 Only materialized finite groups live here; presentation-sized objects are
 handled upstream by the evaluator, which never builds their cubes.
@@ -13,12 +18,21 @@ handled upstream by the evaluator, which never builds their cubes.
 from __future__ import annotations
 
 import itertools
+from functools import cache
+from math import prod
 
 from .errors import SizeLimitError, ValidationError
 from .groups import GroupHom, identity_hom
 
 MAX_CUBE_DIMENSION = 3
 _MAX_LIMIT_ENUM = 200_000
+
+
+@cache
+def _edges(n):
+    """Every covering pair (T, S) of the n-cube: S is T minus one bit."""
+    return tuple((t, t & ~(1 << i)) for t in range(1 << n)
+                 for i in range(n) if t >> i & 1)
 
 
 def _expand(mask, dirs):
@@ -30,55 +44,56 @@ def _expand(mask, dirs):
     return out
 
 
+def _check_dimension(n):
+    if n > MAX_CUBE_DIMENSION:
+        raise SizeLimitError("cube dimension capped at %d"
+                             % MAX_CUBE_DIMENSION)
+
+
 class CubeExtension:
     """An n-cube of finite groups with commuting faces.
 
     `objects` maps every bitmask 0..2^n-1 to a group, `faces` maps every
     covering pair (T, S) with S = T minus one bit to a homomorphism
-    object(T) -> object(S).  Functoriality is always validated; pass
-    check_extension=False to build a mere cube (for negative examples).
+    object(T) -> object(S).  The constructor checks the dimension, that
+    every object and face is there with the right endpoints, and that
+    every square commutes.
     """
 
-    def __init__(self, n, objects, faces, check_extension=True):
+    def __init__(self, n, objects, faces):
         if n < 1:
             raise ValidationError("cube dimension must be at least 1")
-        if n > MAX_CUBE_DIMENSION:
-            raise SizeLimitError("cube dimension capped at %d"
-                                 % MAX_CUBE_DIMENSION)
-        self.n = n
-        self.objects = dict(objects)
-        self.faces = dict(faces)
-        full = 1 << n
-        for mask in range(full):
-            if mask not in self.objects:
+        _check_dimension(n)
+        objects, faces = dict(objects), dict(faces)
+        for mask in range(1 << n):
+            if mask not in objects:
                 raise ValidationError("missing object for subset %d" % mask)
-        for t in range(full):
-            for i in range(n):
-                if t >> i & 1:
-                    s = t & ~(1 << i)
-                    f = self.faces.get((t, s))
-                    if f is None:
-                        raise ValidationError(
-                            "missing face %d -> %d" % (t, s))
-                    if f.domain is not self.objects[t] or \
-                            f.codomain is not self.objects[s]:
-                        raise ValidationError(
-                            "face %d -> %d has wrong endpoints" % (t, s))
-        self._homs = {}
-        for t in range(full):
+        for t, s in _edges(n):
+            f = faces.get((t, s))
+            if f is None:
+                raise ValidationError("missing face %d -> %d" % (t, s))
+            if f.domain is not objects[t] or f.codomain is not objects[s]:
+                raise ValidationError(
+                    "face %d -> %d has wrong endpoints" % (t, s))
+        for t in range(1 << n):
             bits = [i for i in range(n) if t >> i & 1]
             for i, j in itertools.combinations(bits, 2):
                 ti, tj = t & ~(1 << i), t & ~(1 << j)
                 s = ti & ~(1 << j)
-                via_i = self.faces[(t, ti)].then(self.faces[(ti, s)])
-                via_j = self.faces[(t, tj)].then(self.faces[(tj, s)])
+                via_i = faces[(t, ti)].then(faces[(ti, s)])
+                via_j = faces[(t, tj)].then(faces[(tj, s)])
                 if via_i.mapping != via_j.mapping:
                     raise ValidationError(
                         "faces of subset %d do not commute" % t)
-        if check_extension and not is_n_extension(self):
-            raise ValidationError(
-                "comparison maps are not all surjective; "
-                "build with check_extension=False for a mere cube")
+        self.n, self.objects, self.faces, self._homs = n, objects, faces, {}
+
+    @classmethod
+    def _unchecked(cls, n, objects, faces):
+        """Build from complete objects and faces whose squares are known
+        to commute; nothing is checked."""
+        cube = cls.__new__(cls)
+        cube.n, cube.objects, cube.faces, cube._homs = n, objects, faces, {}
+        return cube
 
     def hom(self, t, s):
         """The composite homomorphism object(t) -> object(s), s subset t."""
@@ -100,56 +115,10 @@ class CubeExtension:
         return self.objects[(1 << self.n) - 1]
 
     def __eq__(self, other):
-        if not isinstance(other, CubeExtension) or self.n != other.n:
-            return False
-        if any(self.objects[m] is not other.objects[m]
-               for m in self.objects):
-            return False
-        return all(self.faces[k].mapping == other.faces[k].mapping
-                   for k in self.faces)
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted((k, f.mapping)
-                                          for k, f in self.faces.items()))))
-
-
-class CubeMorphism:
-    """A morphism of (n-1)-cubes: one component per subset, all natural."""
-
-    def __init__(self, dom, cod, components):
-        if dom.n != cod.n:
-            raise ValidationError("dimension mismatch")
-        self.dom = dom
-        self.cod = cod
-        self.components = dict(components)
-        full = 1 << dom.n
-        for mask in range(full):
-            f = self.components.get(mask)
-            if f is None:
-                raise ValidationError("missing component %d" % mask)
-            if f.domain is not dom.objects[mask] or \
-                    f.codomain is not cod.objects[mask]:
-                raise ValidationError("component %d has wrong endpoints"
-                                      % mask)
-        for t in range(full):
-            for i in range(dom.n):
-                if t >> i & 1:
-                    s = t & ~(1 << i)
-                    left = dom.faces[(t, s)].then(self.components[s])
-                    right = self.components[t].then(cod.faces[(t, s)])
-                    if left.mapping != right.mapping:
-                        raise ValidationError(
-                            "component squares do not commute at %d" % t)
-
-    def __eq__(self, other):
-        return (isinstance(other, CubeMorphism) and self.dom == other.dom
-                and self.cod == other.cod
-                and all(self.components[m].mapping
-                        == other.components[m].mapping
-                        for m in self.components))
-
-    def __hash__(self):
-        return hash((hash(self.dom), hash(self.cod)))
+        """Same objects, by identity, and faces with the same mappings."""
+        return (isinstance(other, CubeExtension) and self.n == other.n
+                and self.objects == other.objects
+                and self.faces == other.faces)
 
 
 # ---- punctured limits and the extension property -------------------------
@@ -163,13 +132,10 @@ def punctured_limit(cube, mask):
     """
     if mask == 0:
         raise ValidationError("the empty subset has no punctured limit")
-    coatoms = [mask & ~(1 << i) for i in range(cube.n) if mask >> i & 1]
-    coatoms.sort()
+    coatoms = sorted(mask & ~(1 << i) for i in range(cube.n)
+                     if mask >> i & 1)
     groups = [cube.objects[c] for c in coatoms]
-    total = 1
-    for g in groups:
-        total *= g.order
-    if total > _MAX_LIMIT_ENUM:
+    if prod(g.order for g in groups) > _MAX_LIMIT_ENUM:
         raise SizeLimitError("punctured limit enumeration too large")
     pair_maps = []
     for a in range(len(coatoms)):
@@ -177,10 +143,9 @@ def punctured_limit(cube, mask):
             meet = coatoms[a] & coatoms[b]
             pair_maps.append((a, b, cube.hom(coatoms[a], meet),
                               cube.hom(coatoms[b], meet)))
-    members = []
-    for tup in itertools.product(*(range(g.order) for g in groups)):
-        if all(fa(tup[a]) == fb(tup[b]) for a, b, fa, fb in pair_maps):
-            members.append(tup)
+    members = [tup for tup in itertools.product(*(g.elements()
+                                                  for g in groups))
+               if all(fa(tup[a]) == fb(tup[b]) for a, b, fa, fb in pair_maps)]
     index = {tup: k for k, tup in enumerate(members)}
     comps = [cube.hom(mask, c) for c in coatoms]
     mapping = [index[tuple(f(g) for f in comps)]
@@ -199,149 +164,116 @@ def is_n_extension(cube):
 
 # ---- building cubes -------------------------------------------------------
 
-def cube_from_normal_subgroups(G, normals, check_extension=True):
+def cube_from_normal_subgroups(G, normals):
     """The n-cube S |-> G / (product of N_i over i not in S).
 
-    Every face is a natural projection between quotients of G.  The
-    cube need not be an n-fold extension once n >= 3: three distinct
-    order-2 subgroups of V4 give one whose comparison maps are not all
-    surjective.  Such a cube raises ValidationError unless it is built
-    with check_extension=False.
+    The face T -> S sends gN_T to gN_S, for N_T the product at T, which
+    lies in N_S.  Both routes round a square send gN_T to the same coset,
+    so the squares commute and the cube is built unchecked.  It need not
+    be an n-fold extension once n >= 3: three distinct order-2 subgroups
+    of V4 give one whose comparison maps are not all surjective.
     """
     n = len(normals)
     if n < 1:
         raise ValidationError("need at least one normal subgroup")
-    if n > MAX_CUBE_DIMENSION:
-        raise SizeLimitError("cube dimension capped at %d"
-                             % MAX_CUBE_DIMENSION)
+    _check_dimension(n)
     for N in normals:
         if N.ambient is not G or not N.is_normal():
             raise ValidationError("each subgroup must be normal in G")
-    objects = {}
-    projections = {}
+    objects, projections = {}, {}
     for mask in range(1 << n):
-        prod = G.trivial_subgroup()
+        N = G.trivial_subgroup()
         for i in range(n):
             if not mask >> i & 1:
-                prod = prod.product_with(normals[i])
-        Q, proj = G.quotient(prod)
-        objects[mask] = Q
-        projections[mask] = proj
+                N = N.product_with(normals[i])
+        objects[mask], projections[mask] = G.quotient(N)
     faces = {}
-    for t in range(1 << n):
-        for i in range(n):
-            if t >> i & 1:
-                s = t & ~(1 << i)
-                mapping = [0] * objects[t].order
-                for g in G.elements():
-                    mapping[projections[t](g)] = projections[s](g)
-                faces[(t, s)] = GroupHom(objects[t], objects[s], mapping,
-                                         validate=False)  # ints
-    return CubeExtension(n, objects, faces, check_extension=check_extension)
+    for t, s in _edges(n):
+        mapping = [0] * objects[t].order
+        for g in G.elements():
+            mapping[projections[t](g)] = projections[s](g)
+        faces[(t, s)] = GroupHom(objects[t], objects[s], mapping,
+                                 validate=False)  # ints
+    return CubeExtension._unchecked(n, objects, faces)
 
 
 # ---- face calculus --------------------------------------------------------
 
-def _restriction(cube, fixed, dirs):
-    objects = {}
-    faces = {}
-    for mask in range(1 << len(dirs)):
-        objects[mask] = cube.objects[_expand(mask, dirs) | fixed]
-    for t in range(1 << len(dirs)):
-        for k in range(len(dirs)):
-            if t >> k & 1:
-                s = t & ~(1 << k)
-                faces[(t, s)] = cube.faces[(_expand(t, dirs) | fixed,
-                                            _expand(s, dirs) | fixed)]
-    return CubeExtension(len(dirs), objects, faces, check_extension=False)
+def _face(cube, i, fixed):
+    """The subsets `fixed` plus any of the directions other than i, as an
+    (n-1)-cube over their positions.  Its objects, faces and squares are
+    the cube's own, so it is built unchecked."""
+    if cube.n < 2:
+        raise ValidationError("need dimension at least 2")
+    dirs = [d for d in range(cube.n) if d != i]
+    objects = {m: cube.objects[_expand(m, dirs) | fixed]
+               for m in range(1 << len(dirs))}
+    faces = {(t, s): cube.faces[(_expand(t, dirs) | fixed,
+                                 _expand(s, dirs) | fixed)]
+             for t, s in _edges(len(dirs))}
+    return CubeExtension._unchecked(len(dirs), objects, faces)
 
 
 def rho_i(cube, i):
     """The domain face: subsets containing direction i, reindexed."""
-    if cube.n < 2:
-        raise ValidationError("need dimension at least 2")
-    dirs = [d for d in range(cube.n) if d != i]
-    return _restriction(cube, 1 << i, dirs)
+    return _face(cube, i, 1 << i)
 
 
 def cod_face(cube, i):
     """The codomain face: subsets avoiding direction i, reindexed."""
-    if cube.n < 2:
-        raise ValidationError("need dimension at least 2")
-    dirs = [d for d in range(cube.n) if d != i]
-    return _restriction(cube, 0, dirs)
+    return _face(cube, i, 0)
 
 
 def delta_i(cube, i):
-    """View the n-cube as a morphism of (n-1)-cubes along direction i."""
-    dom = rho_i(cube, i)
-    cod = cod_face(cube, i)
+    """View the n-cube as a morphism of (n-1)-cubes along direction i:
+    the triple (rho_i, cod_face, {S: the face S+{i} -> S})."""
+    dom, cod = rho_i(cube, i), cod_face(cube, i)
     dirs = [d for d in range(cube.n) if d != i]
-    comps = {}
-    for mask in range(1 << (cube.n - 1)):
-        base = _expand(mask, dirs)
-        comps[mask] = cube.faces[(base | (1 << i), base)]
-    return CubeMorphism(dom, cod, comps)
+    bases = [_expand(m, dirs) for m in range(1 << dom.n)]
+    return dom, cod, {m: cube.faces[(base | (1 << i), base)]
+                      for m, base in enumerate(bases)}
 
 
 def delta_inverse(morphism, i):
-    """Reassemble the n-cube whose direction-i arrow view is `morphism`;
-    CubeExtension checks that n is at most MAX_CUBE_DIMENSION."""
-    n = morphism.dom.n + 1
+    """Reassemble the n-cube whose direction-i arrow view is `morphism`.
+
+    The constructor checks it, so a component with the wrong endpoints,
+    or one whose naturality square does not commute, raises.
+    """
+    dom, cod, comps = morphism
+    if dom.n != cod.n:
+        raise ValidationError("dimension mismatch")
+    n = dom.n + 1
     if not 0 <= i < n:
         raise ValidationError("direction out of range")
     dirs = [d for d in range(n) if d != i]
-    pos = {d: k for k, d in enumerate(dirs)}
-
-    def compress(mask):
-        out = 0
-        for d in dirs:
-            if mask >> d & 1:
-                out |= 1 << pos[d]
-        return out
-
-    objects = {}
-    for mask in range(1 << n):
-        if mask >> i & 1:
-            objects[mask] = morphism.dom.objects[compress(mask)]
-        else:
-            objects[mask] = morphism.cod.objects[compress(mask)]
-    faces = {}
-    for t in range(1 << n):
-        for j in range(n):
-            if t >> j & 1:
-                s = t & ~(1 << j)
-                if j == i:
-                    faces[(t, s)] = morphism.components[compress(s)]
-                elif t >> i & 1:
-                    faces[(t, s)] = morphism.dom.faces[(compress(t),
-                                                        compress(s))]
-                else:
-                    faces[(t, s)] = morphism.cod.faces[(compress(t),
-                                                        compress(s))]
-    return CubeExtension(n, objects, faces, check_extension=False)
-
-
-def rho_i_morphism(morphism, i):
-    """Restrict a morphism of cubes to the subsets containing direction i."""
-    dom = rho_i(morphism.dom, i)
-    cod = rho_i(morphism.cod, i)
-    dirs = [d for d in range(morphism.dom.n) if d != i]
-    comps = {mask: morphism.components[_expand(mask, dirs) | (1 << i)]
-             for mask in range(1 << len(dirs))}
-    return CubeMorphism(dom, cod, comps)
+    objects, faces = {}, {}
+    for mask in range(1 << dom.n):
+        base = _expand(mask, dirs)
+        objects[base | (1 << i)] = dom.objects[mask]
+        objects[base] = cod.objects[mask]
+        faces[(base | (1 << i), base)] = comps.get(mask)
+    for t, s in _edges(dom.n):
+        et, es = _expand(t, dirs), _expand(s, dirs)
+        faces[(et | (1 << i), es | (1 << i))] = dom.faces[(t, s)]
+        faces[(et, es)] = cod.faces[(t, s)]
+    return CubeExtension(n, objects, faces)
 
 
 def interchange_holds(cube, i, j):
-    """delta_{j-1} of the i-th domain face against the restricted delta_j.
+    """delta_{j-1} of the i-th domain face against delta_j restricted to
+    the subsets containing i.
 
     For i < j the two (n-2)-cube morphisms must coincide.
     """
     if not i < j:
         raise ValidationError("need i < j")
-    left = delta_i(rho_i(cube, i), j - 1)
-    right = rho_i_morphism(delta_i(cube, j), i)
-    return left == right
+    dom, cod, comps = delta_i(cube, j)
+    dirs = [d for d in range(dom.n) if d != i]
+    right = (rho_i(dom, i), rho_i(cod, i),
+             {m: comps[_expand(m, dirs) | (1 << i)]
+              for m in range(1 << len(dirs))})
+    return delta_i(rho_i(cube, i), j - 1) == right
 
 
 def delta_square_commutes(cube, i, j):
@@ -375,29 +307,24 @@ def joint_kernel(cube):
 def kernel_of_morphism(morphism):
     """Levelwise kernels of a cube morphism, as a cube plus embeddings.
 
-    Returns (cube, inclusions) where inclusions[mask] sends an element of
-    the kernel cube's object to the corresponding element of the domain
-    cube's object.
+    The morphism is an arrow view, as `delta_i` returns it.  Returns
+    (cube, inclusions) where inclusions[mask] sends an element of the
+    kernel cube's object to the corresponding element of the domain
+    cube's object.  Each face of the kernel cube is a domain face f
+    restricted to the kernels: naturality, c_S f = g c_T for the
+    codomain face g, sends ker c_T into ker c_S.  Restrictions of
+    commuting squares commute, so the cube is built unchecked.
     """
-    n = morphism.dom.n
-    objects = {}
-    inclusions = {}
-    member_index = {}
-    for mask in range(1 << n):
-        K = morphism.components[mask].kernel()
-        Kg, incl = K.as_group()
-        objects[mask] = Kg
+    dom, _, comps = morphism
+    objects, inclusions, member_index = {}, {}, {}
+    for mask in range(1 << dom.n):
+        objects[mask], incl = comps[mask].kernel().as_group()
         inclusions[mask] = incl
-        member_index[mask] = {incl(k): k for k in range(Kg.order)}
+        member_index[mask] = {m: k for k, m in enumerate(incl.mapping)}
     faces = {}
-    for t in range(1 << n):
-        for i in range(n):
-            if t >> i & 1:
-                s = t & ~(1 << i)
-                f = morphism.dom.faces[(t, s)]
-                mapping = [member_index[s][f(inclusions[t](k))]
-                           for k in range(objects[t].order)]
-                faces[(t, s)] = GroupHom(objects[t], objects[s], mapping,
-                                         validate=False)  # ints
-    return CubeExtension(n, objects, faces, check_extension=False), \
-        inclusions
+    for t, s in _edges(dom.n):
+        f, incl = dom.faces[(t, s)].mapping, inclusions[t].mapping
+        faces[(t, s)] = GroupHom(objects[t], objects[s],
+                                 [member_index[s][f[g]] for g in incl],
+                                 validate=False)  # ints
+    return CubeExtension._unchecked(dom.n, objects, faces), inclusions

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from .abelian import PrimeSet
+from .abelian import _prime_set_or_none
 from .errors import InternalCheckError, ValidationError
 from .groups import (GroupHom, closure_P, commutator_subgroup,
                      local_torsion_is_trivial, pullback)
@@ -38,11 +38,7 @@ class GaloisContext:
     """
 
     def __init__(self, primes=None):
-        if primes is not None and not isinstance(primes, PrimeSet):
-            primes = PrimeSet(primes)
-        if primes is not None and not primes.primes:
-            primes = None
-        self.primes = primes
+        self.primes = _prime_set_or_none(primes)
         self._groups = {}
         self._parts = {}
 

@@ -386,40 +386,6 @@ def inner_automorphism(G, g):
                     validate=False)  # ints
 
 
-class DirectProduct:
-    """A x B with its projections; element (a, b) is a * |B| + b."""
-
-    __slots__ = ("group", "proj0", "proj1")
-
-    def __init__(self, A, B, max_order=MAX_ORDER):
-        n = _product_order(A, B, max_order)
-        bo = B.order
-        at, bt = A.table, B.table
-        table = [[0] * n for _ in range(n)]
-        for a1 in range(A.order):
-            for b1 in range(bo):
-                r = table[a1 * bo + b1]
-                ra = at[a1]
-                rb = bt[b1]
-                for a2 in range(A.order):
-                    base = ra[a2] * bo
-                    for b2 in range(bo):
-                        r[a2 * bo + b2] = base + rb[b2]
-        self.group = FiniteGroup(table, validate=False)
-        self.proj0 = GroupHom(self.group, A, [i // bo for i in range(n)],
-                              validate=False)  # ints
-        self.proj1 = GroupHom(self.group, B, [i % bo for i in range(n)],
-                              validate=False)  # ints
-
-
-def _product_order(A, B, max_order):
-    n = A.order * B.order
-    if n > max_order:
-        raise SizeLimitError("product order %d exceeds bound %d"
-                             % (n, max_order))
-    return n
-
-
 def pullback(f, g, max_order=MAX_ORDER):
     """Fiber product of f and g: (group, projection to dom f, to dom g).
 
@@ -430,7 +396,9 @@ def pullback(f, g, max_order=MAX_ORDER):
     if f.codomain is not g.codomain:
         raise ValidationError("pullback needs a common codomain")
     A, B = f.domain, g.domain
-    _product_order(A, B, max_order)
+    if A.order * B.order > max_order:
+        raise SizeLimitError("product order %d exceeds bound %d"
+                             % (A.order * B.order, max_order))
     fibres = [[] for _ in range(f.codomain.order)]
     for b in B.elements():
         fibres[g(b)].append(b)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .abelian import FgAbelianGroup, PrimeSet
+from .abelian import FgAbelianGroup, _prime_set_or_none
 from .errors import SizeLimitError, ValidationError
 from .freenil import NilHom, free_nil_group
 from .matrices import IntMatrix
@@ -470,14 +470,6 @@ def _provenance(pres, n, primes, classes):
             "classes": list(classes)}
 
 
-def _normalize_primes(primes):
-    if primes is None:
-        return None
-    if not isinstance(primes, PrimeSet):
-        primes = PrimeSet(primes)
-    return primes if primes.primes else None
-
-
 def hopf_pi_n(pres, n, primes=None, max_class=DEFAULT_MAX_CLASS):
     """Hopf value for an n-fold presentation: H_{n+1} of the presented
     group, for n = 0, 1, 2.
@@ -498,7 +490,7 @@ def hopf_pi_n(pres, n, primes=None, max_class=DEFAULT_MAX_CLASS):
     """
     if n not in (0, 1, 2):
         raise ValidationError("hopf_pi_n is computed for n = 0, 1, 2")
-    primes = _normalize_primes(primes)
+    primes = _prime_set_or_none(primes)
     k0 = pres.nclass + 1
     if n == 0:
         rows = [m.weight_one() for m in pres.kernel_at(k0).seq]

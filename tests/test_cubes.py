@@ -1,12 +1,14 @@
+import itertools
 import random
 
 import pytest
 
 from hopfgal import cubes as cb
+from hopfgal.checks import _normal_subgroups as normal_subgroups
 from hopfgal.checks import check_cube_laws
 from hopfgal.corpus import cyclic, dihedral, klein4, quaternion8, symmetric
 from hopfgal.errors import SizeLimitError, ValidationError
-from hopfgal.groups import GroupHom, identity_hom
+from hopfgal.groups import GroupHom, identity_hom, inner_automorphism
 
 
 def reference_is_double_extension(f1, f0, a, b):
@@ -30,23 +32,11 @@ def reference_is_double_extension(f1, f0, a, b):
     return len(seen) == fiber
 
 
-def normal_subgroups(G):
-    """All normal subgroups of a small group, via two-generated subgroups."""
-    seen = {}
-    elems = G.elements()
-    for a in elems:
-        for b in elems:
-            H = G.generated_subgroup([a, b])
-            seen[H.members] = H
-    return [H for H in seen.values() if H.is_normal()]
-
-
-def square(f1, f0, a, b, check_extension=True):
+def square(f1, f0, a, b):
     """The 2-cube with top maps f1 (direction 0) and f0 (direction 1)."""
     return cb.CubeExtension(
         2, {3: f1.domain, 1: f1.codomain, 2: f0.codomain, 0: a.codomain},
-        {(3, 1): f1, (3, 2): f0, (1, 0): a, (2, 0): b},
-        check_extension=check_extension)
+        {(3, 1): f1, (3, 2): f0, (1, 0): a, (2, 0): b})
 
 
 def some_cubes(rng, dimension, count):
@@ -74,10 +64,7 @@ class TestConstruction:
     def test_three_order_two_subgroups_of_klein_four(self):
         V4 = klein4()
         picks = [V4.generated_subgroup([g]) for g in (1, 2, 3)]
-        with pytest.raises(ValidationError):
-            cb.cube_from_normal_subgroups(V4, picks)
-        cube = cb.cube_from_normal_subgroups(V4, picks,
-                                             check_extension=False)
+        cube = cb.cube_from_normal_subgroups(V4, picks)
         assert not cb.is_n_extension(cube)
 
     @pytest.mark.parametrize("seed", [1282413051, 1268243019])
@@ -91,9 +78,8 @@ class TestConstruction:
         f = GroupHom(Z4, Z2, [0, 1, 0, 1])
         assert cb.is_n_extension(cb.CubeExtension(1, {1: Z4, 0: Z2},
                                                   {(1, 0): f}))
-        with pytest.raises(ValidationError):
-            cb.CubeExtension(1, {1: Z2, 0: Z4},
-                             {(1, 0): GroupHom(Z2, Z4, [0, 2])})
+        assert not cb.is_n_extension(cb.CubeExtension(
+            1, {1: Z2, 0: Z4}, {(1, 0): GroupHom(Z2, Z4, [0, 2])}))
 
     def test_missing_face_rejected(self):
         Z2 = cyclic(2)
@@ -113,11 +99,11 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             cb.CubeExtension(
                 2, {3: V, 1: Z2, 2: Z2, 0: Z2},
-                {(3, 1): p0, (3, 2): p1, (1, 0): swap, (2, 0): swap},
-                check_extension=False)
-        # sanity: the honest completion does commute
-        cb.CubeExtension(2, {3: V, 1: Z2, 2: Z2, 0: one},
-                         {(3, 1): p0, (3, 2): p1, (1, 0): to1, (2, 0): to1})
+                {(3, 1): p0, (3, 2): p1, (1, 0): swap, (2, 0): swap})
+        # sanity: the honest completion commutes and is an extension
+        assert cb.is_n_extension(cb.CubeExtension(
+            2, {3: V, 1: Z2, 2: Z2, 0: one},
+            {(3, 1): p0, (3, 2): p1, (1, 0): to1, (2, 0): to1}))
 
     def test_dimension_cap(self):
         Z2 = cyclic(2)
@@ -151,10 +137,7 @@ class TestExtensionProperty:
         one = cyclic(1)
         ident = identity_hom(Z2)
         to1 = GroupHom(Z2, one, [0, 0])
-        diagonal = square(ident, ident, to1, to1, check_extension=False)
-        assert not cb.is_n_extension(diagonal)
-        with pytest.raises(ValidationError):
-            square(ident, ident, to1, to1)
+        assert not cb.is_n_extension(square(ident, ident, to1, to1))
 
     def test_double_extension_function_matches_cube_route(self):
         rng = random.Random(420)
@@ -175,7 +158,7 @@ class TestExtensionProperty:
             one = cyclic(1)
             ident = identity_hom(G)
             to1 = GroupHom(G, one, [0] * G.order)
-            diagonal = square(ident, ident, to1, to1, check_extension=False)
+            diagonal = square(ident, ident, to1, to1)
             assert reference_is_double_extension(
                 ident, ident, to1, to1) is False
             assert cb.is_n_extension(diagonal) is False
@@ -248,3 +231,48 @@ class TestKernels:
                 via_rho = sorted(g for g in cb.joint_kernel(rho).members
                                  if ai(g) == 0)
                 assert via_delta == K == via_rho
+
+
+class TestDerivedCubes:
+    """Faces, reindexings, quotient cubes and kernel cubes are built
+    without the constructor's checks; each must pass them."""
+
+    @staticmethod
+    def rebuilt(cube):
+        return cb.CubeExtension(cube.n, cube.objects, cube.faces)
+
+    def test_derived_cubes_pass_the_constructor(self):
+        checked = 0
+        for G in (cyclic(4), cyclic(6), klein4(), dihedral(3), dihedral(4),
+                  quaternion8()):
+            normals = normal_subgroups(G)
+            for n in (1, 2, 3):
+                for picks in itertools.combinations_with_replacement(
+                        normals, n):
+                    cube = cb.cube_from_normal_subgroups(G, list(picks))
+                    assert self.rebuilt(cube) == cube
+                    checked += 1
+                    for i in range(n if n > 1 else 0):
+                        for face in (cb.rho_i(cube, i),
+                                     cb.cod_face(cube, i)):
+                            assert self.rebuilt(face) == face
+                        view = cb.delta_i(cube, i)
+                        kcube, _ = cb.kernel_of_morphism(view)
+                        assert self.rebuilt(kcube) == kcube
+                        assert cb.delta_inverse(view, i) == cube
+        assert checked == 293
+
+    def test_non_natural_component_is_rejected(self):
+        D3 = dihedral(3)
+        cube = cb.cube_from_normal_subgroups(
+            D3, [D3.trivial_subgroup()] * 2)
+        dom, cod, comps = cb.delta_i(cube, 0)
+        # conjugation by a reflection moves the rotations, so the
+        # naturality square at the top subset no longer commutes
+        twist = inner_automorphism(cod.objects[0], 3)
+        assert twist.mapping != identity_hom(cod.objects[0]).mapping
+        bad = dict(comps)
+        bad[0] = comps[0].then(twist)
+        with pytest.raises(ValidationError):
+            cb.delta_inverse((dom, cod, bad), 0)
+        assert cb.delta_inverse((dom, cod, comps), 0) == cube
